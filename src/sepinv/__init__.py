@@ -35,12 +35,9 @@ from .poly import (
 )
 from .resolution import (
     FreeResolution,
-    GradedFreeModule,
-    ModuleElement,
     cohen_macaulay_defect,
     hilbert_numerator,
     minimal_free_resolution,
-    syzygies,
 )
 from .separating import (
     AuditReport,
@@ -66,12 +63,10 @@ __all__ = [
     "FieldElement",
     "FiniteGroup",
     "FreeResolution",
-    "GradedFreeModule",
     "GraphComponent",
     "GREVLEX",
     "Ideal",
     "LEX",
-    "ModuleElement",
     "Polynomial",
     "PolynomialRing",
     "SeparatingCandidate",
@@ -99,7 +94,6 @@ __all__ = [
     "parse",
     "reflection_audit",
     "render",
-    "syzygies",
     "variety_connected_in_codim",
     "variety_points",
     "verify_separating_points",

@@ -16,8 +16,9 @@ import sys
 import time
 from importlib import resources
 
-from . import bundled, config
+from . import bundled
 from .errors import (
+    CapsEnvironmentError,
     DimensionMismatch,
     EnumerationCapExceeded,
     EquivalenceViolation,
@@ -57,6 +58,7 @@ INPUT_ERROR = 2
 RESOURCE = 3
 
 _INPUT_ERRORS = (
+    CapsEnvironmentError,
     ManifestError,
     PolynomialSyntaxError,
     UnknownVariable,

@@ -8,17 +8,27 @@ and the test-suite share one knob set:
     SEPINV_GROUP_CAP   maximum group order during closure enumeration
     SEPINV_ENUM_CAP    maximum field size for element enumeration
     SEPINV_POINT_CAP   maximum number of ambient points scanned in point checks
+
+The variables are read when caps are needed, not at import, so a malformed
+value surfaces as a CapsEnvironmentError where the caller can report it.
 """
 
 import os
 from dataclasses import dataclass
+
+from .errors import CapsEnvironmentError
 
 
 def _env_int(name, default):
     raw = os.environ.get(name)
     if raw is None:
         return default
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise CapsEnvironmentError(
+            f"{name} must be an integer, got {raw!r}"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -31,6 +41,7 @@ class Caps:
 
 
 def from_env():
+    """The caps in force when a caller passes none."""
     return Caps(
         pair_cap=_env_int("SEPINV_PAIR_CAP", Caps.pair_cap),
         degree_cap=min(_env_int("SEPINV_DEGREE_CAP", Caps.degree_cap), 127),
@@ -38,6 +49,3 @@ def from_env():
         enum_cap=_env_int("SEPINV_ENUM_CAP", Caps.enum_cap),
         point_cap=_env_int("SEPINV_POINT_CAP", Caps.point_cap),
     )
-
-
-DEFAULT = from_env()

@@ -107,3 +107,7 @@ class InternalInconsistency(SepinvError):
 
 class ManifestError(SepinvError):
     pass
+
+
+class CapsEnvironmentError(SepinvError):
+    """A SEPINV_* cap variable holds something that is not an integer."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .config import DEFAULT as CAPS
+from . import config
 from .errors import (
     DivisionByZero,
     EnumerationCapExceeded,
@@ -198,7 +198,7 @@ class Field:
         return FieldElement(self, self.p)  # raw encoding of t
 
     def enumerate_raw(self, cap=None):
-        limit = CAPS.enum_cap if cap is None else cap
+        limit = config.from_env().enum_cap if cap is None else cap
         if self.order > limit:
             raise EnumerationCapExceeded(
                 f"field has {self.order} elements, cap is {limit}"
@@ -285,11 +285,6 @@ class FieldElement:
 
     def __repr__(self):
         return self.field.coeff_str(self.raw)
-
-
-def invert(a):
-    """Multiplicative inverse of a nonzero FieldElement."""
-    return a.inverse()
 
 
 def _check_irreducible(modulus, p, e):

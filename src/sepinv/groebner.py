@@ -5,9 +5,6 @@ degree first), the product criterion, and the chain criterion.  The basis
 returned is always the reduced basis, sorted by increasing leading
 monomial, which makes it canonical: two ideals are equal exactly when
 these tuples match.
-
-Over F_2 coefficients carry no information, so the reducer switches to a
-set-of-monomials representation where subtraction is membership toggling.
 """
 
 from __future__ import annotations
@@ -80,19 +77,15 @@ def normal_form(f, divisors):
     if isinstance(divisors, Ideal):
         divisors = divisors.groebner_basis()
     ring = f.ring
-    if ring.field.p == 2 and ring.field.e == 1:
-        basis = [(g.leading_monomial(), tuple(m for m, _ in g.terms[1:]))
-                 for g in divisors]
-        rem = _nf_gf2({m for m, _ in f.terms}, basis, ring)
-        return ring.from_dict({m: 1 for m in rem})
     fld = ring.field
     basis = [(g.leading_monomial(), fld.inv(g.leading_coefficient()), g.terms[1:])
              for g in divisors]
-    rem = _nf_general(dict(f.terms), basis, ring)
+    rem = _reduce(dict(f.terms), basis, ring)
     return ring.from_dict(rem)
 
 
-def _nf_general(work, basis, ring):
+def _reduce(work, basis, ring):
+    """Remainder of the term dict `work` (consumed) on (lm, inv_lc, tail) reducers."""
     fld = ring.field
     key = ring.key
     guard = ring.guard
@@ -116,30 +109,6 @@ def _nf_general(work, basis, ring):
                 break
         else:
             rem[m] = c
-    return rem
-
-
-def _nf_gf2(work, basis, ring):
-    key = ring.key
-    guard = ring.guard
-    rem = set()
-    while work:
-        m = max(work, key=key)
-        work.discard(m)
-        for lm, tail in basis:
-            if ((m | guard) - lm) & guard == guard:
-                q = m - lm
-                for mt in tail:
-                    s = q + mt
-                    if s & guard:
-                        raise ResourceCapExceeded("monomial overflow in reduction")
-                    if s in work:
-                        work.discard(s)
-                    else:
-                        work.add(s)
-                break
-        else:
-            rem.add(m)
     return rem
 
 
@@ -177,7 +146,7 @@ def s_polynomial(f, g):
 
 def groebner_basis(gens, caps=None):
     """Reduced Groebner basis, sorted by increasing leading monomial."""
-    caps = caps or config.DEFAULT
+    caps = caps or config.from_env()
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
@@ -185,7 +154,6 @@ def groebner_basis(gens, caps=None):
     for g in gens:
         if g.ring != ring:
             raise RingMismatch("generators live in different rings")
-    gf2 = ring.field.p == 2 and ring.field.e == 1
     fld = ring.field
     key = ring.key
     guard = ring.guard
@@ -196,7 +164,7 @@ def groebner_basis(gens, caps=None):
     basis = []       # list of term tuples
     lms = []
     inv_lcs = []
-    view = []        # reducer view: (lm, tail) for gf2, (lm, inv_lc, tail) otherwise
+    view = []        # reducer view: (lm, inv_lc, tail)
 
     def push(terms):
         lm = terms[0][0]
@@ -206,13 +174,9 @@ def groebner_basis(gens, caps=None):
             )
         basis.append(terms)
         lms.append(lm)
-        if gf2:
-            inv_lcs.append(1)
-            view.append((lm, tuple(m for m, _ in terms[1:])))
-        else:
-            inv = fld.inv(terms[0][1])
-            inv_lcs.append(inv)
-            view.append((lm, inv, terms[1:]))
+        inv = fld.inv(terms[0][1])
+        inv_lcs.append(inv)
+        view.append((lm, inv, terms[1:]))
         return len(basis) - 1
 
     heap = []
@@ -226,7 +190,6 @@ def groebner_basis(gens, caps=None):
             return
         heapq.heappush(heap, (ring.mono_degree(L), key(L), i, j, L))
 
-    seen = {}
     for g in sorted(gens, key=lambda g: key(g.leading_monomial())):
         t = push(g.terms)
         for i in range(t):
@@ -264,51 +227,31 @@ def groebner_basis(gens, caps=None):
 
         qi = L - lms[i]
         qj = L - lms[j]
-        if gf2:
-            work = set()
-            for m, _ in basis[i]:
-                s = qi + m
-                if s & guard:
-                    raise ResourceCapExceeded("monomial overflow in S-pair")
-                work.symmetric_difference_update((s,))
-            for m, _ in basis[j]:
-                s = qj + m
-                if s & guard:
-                    raise ResourceCapExceeded("monomial overflow in S-pair")
-                work.symmetric_difference_update((s,))
-            rem = _nf_gf2(work, view, ring)
-            if not rem:
-                continue
-            items = sorted(rem, key=key, reverse=True)
-            terms = tuple((m, 1) for m in items)
-        else:
-            work = {}
-            ci = inv_lcs[i]
-            cj = inv_lcs[j]
-            for m, c in basis[i]:
-                s = qi + m
-                if s & guard:
-                    raise ResourceCapExceeded("monomial overflow in S-pair")
-                v = fld.add(work.get(s, 0), fld.mul(c, ci))
-                if v:
-                    work[s] = v
-                else:
-                    del work[s]
-            for m, c in basis[j]:
-                s = qj + m
-                if s & guard:
-                    raise ResourceCapExceeded("monomial overflow in S-pair")
-                v = fld.sub(work.get(s, 0), fld.mul(c, cj))
-                if v:
-                    work[s] = v
-                else:
-                    del work[s]
-            rem = _nf_general(work, view, ring)
-            if not rem:
-                continue
-            items = sorted(rem.items(), key=lambda t: key(t[0]), reverse=True)
-            terms = tuple(items)
-
+        work = {}
+        ci = inv_lcs[i]
+        cj = inv_lcs[j]
+        for m, c in basis[i]:
+            s = qi + m
+            if s & guard:
+                raise ResourceCapExceeded("monomial overflow in S-pair")
+            v = fld.add(work.get(s, 0), fld.mul(c, ci))
+            if v:
+                work[s] = v
+            else:
+                del work[s]
+        for m, c in basis[j]:
+            s = qj + m
+            if s & guard:
+                raise ResourceCapExceeded("monomial overflow in S-pair")
+            v = fld.sub(work.get(s, 0), fld.mul(c, cj))
+            if v:
+                work[s] = v
+            else:
+                del work[s]
+        rem = _reduce(work, view, ring)
+        if not rem:
+            continue
+        terms = tuple(sorted(rem.items(), key=lambda t: key(t[0]), reverse=True))
         t = push(terms)
         for i2 in range(t):
             consider(i2, t)
@@ -353,7 +296,7 @@ class Ideal:
                 raise RingMismatch("generator outside the ring")
         self.ring = ring
         self.gens = tuple(g for g in gens if not g.is_zero())
-        self.caps = caps or config.DEFAULT
+        self.caps = caps or config.from_env()
         self._gb = {}
         self._dim = None
 

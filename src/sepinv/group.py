@@ -63,7 +63,7 @@ def enumerate_group(generators, caps=None):
     Breadth-first over words in the generators, ties broken by generator
     order, so two runs with the same input produce the same element list.
     """
-    caps = caps or config.DEFAULT
+    caps = caps or config.from_env()
     generators = list(generators)
     if not generators:
         raise ValueError("at least one generator is required")
@@ -129,7 +129,7 @@ class VarietyPresentation:
 
     def __init__(self, ring, components=None, caps=None):
         self.ring = ring
-        self.caps = caps or config.DEFAULT
+        self.caps = caps or config.from_env()
         if not components:
             components = [Ideal(ring, [], self.caps)]
         comps = []
@@ -304,7 +304,7 @@ def variety_points(variety, field=None, caps=None):
             f"{total} candidate points exceed cap {caps.point_cap}"
         )
     points = []
-    for pt in itertools.product(fld.enumerate_raw(), repeat=n):
+    for pt in itertools.product(fld.enumerate_raw(caps.enum_cap), repeat=n):
         for comp in variety.components:
             if all(g.evaluate(pt, fld) == 0 for g in comp.gens):
                 points.append(pt)

@@ -64,23 +64,6 @@ class Block:
         return lambda exps: (k1(exps[:s]), k2(exps[s:]))
 
 
-@dataclass(frozen=True)
-class Weighted:
-    """Weighted-graded order: weighted degree first, grevlex tie-break."""
-
-    weights: tuple
-
-    def keyfn(self, nvars):
-        w = self.weights
-        def key(exps):
-            return (
-                sum(a * b for a, b in zip(w, exps)),
-                sum(exps),
-                tuple(-e for e in reversed(exps)),
-            )
-        return key
-
-
 GREVLEX = GRevLex()
 LEX = Lex()
 
@@ -412,18 +395,6 @@ class Polynomial:
         return render(self)
 
 
-def add(f, g):
-    return f + g
-
-
-def mul(f, g):
-    return f * g
-
-
-def pow_(f, k):
-    return f ** k
-
-
 def is_homogeneous(f):
     """Total degree if every term shares it, else None; zero counts as degree 0."""
     if not f.terms:
@@ -585,10 +556,6 @@ def _rank(field, rows):
         if r == len(rows):
             break
     return rank
-
-
-def matrix_rank(field, matrix):
-    return _rank(field, [list(r) for r in matrix])
 
 
 def compose_affine(f, sigma):

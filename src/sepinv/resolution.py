@@ -18,15 +18,13 @@ graded form of the Auslander-Buchsbaum formula.
 
 from __future__ import annotations
 
-from . import config
 from .errors import (
     InternalInconsistency,
     NonHomogeneousInput,
     ResourceCapExceeded,
-    RingMismatch,
     UnitIdeal,
 )
-from .poly import Polynomial, is_homogeneous
+from .poly import is_homogeneous
 
 
 # ---------------------------------------------------------------------------
@@ -63,21 +61,17 @@ class _Level:
         return k
 
 
-def _view(elems, gf2):
+def _view(elems):
     """Reducer view bucketed by lead component: comp -> [(lead mono, tail)]."""
     buckets = {}
     for e in elems:
         (c, m), _ = e[0]
-        if gf2:
-            tail = tuple(t for t, _ in e[1:])
-        else:
-            tail = e[1:]
-        buckets.setdefault(c, []).append((m, tail))
+        buckets.setdefault(c, []).append((m, e[1:]))
     return buckets
 
 
 def _vnf(work, buckets, level, nbasis, index_of, want_quots):
-    """Module normal form, general coefficients.  Mutates `work`."""
+    """Module normal form against a monic basis.  Mutates `work`."""
     ring = level.ring
     fld = ring.field
     key = level.key
@@ -119,53 +113,9 @@ def _vnf(work, buckets, level, nbasis, index_of, want_quots):
     return quots, rem
 
 
-def _vnf2(work, buckets, level, nbasis, index_of, want_quots):
-    """Module normal form over F_2: sets of terms, toggling membership."""
-    ring = level.ring
-    key = level.key
-    guard = ring.guard
-    quots = [None] * nbasis if want_quots else None
-    rem = set()
-    while work:
-        t = max(work, key=key)
-        work.discard(t)
-        tc, tm = t
-        hit = False
-        for bm, tail in buckets.get(tc, ()):
-            if ((tm | guard) - bm) & guard == guard:
-                q = tm - bm
-                if want_quots:
-                    idx = index_of[(tc, bm)]
-                    qs = quots[idx]
-                    if qs is None:
-                        qs = quots[idx] = set()
-                    if q in qs:
-                        qs.discard(q)
-                    else:
-                        qs.add(q)
-                for cc, mm in tail:
-                    s = q + mm
-                    if s & guard:
-                        raise ResourceCapExceeded("monomial overflow in module reduction")
-                    u = (cc, s)
-                    if u in work:
-                        work.discard(u)
-                    else:
-                        work.add(u)
-                hit = True
-                break
-        if not hit:
-            rem.add(t)
-    return quots, rem
-
-
 def _canon_dict(d, level):
     items = sorted(d.items(), key=lambda kv: level.key(kv[0]), reverse=True)
     return tuple(items)
-
-
-def _canon_set(s, level):
-    return tuple((t, 1) for t in sorted(s, key=level.key, reverse=True))
 
 
 def _index_of(elems):
@@ -179,7 +129,7 @@ def _index_of(elems):
     return out
 
 
-def _vinterreduce(elems, level, gf2):
+def _vinterreduce(elems, level):
     """Minimal, monic, tail-reduced form of a module Groebner basis."""
     ring = level.ring
     if not elems:
@@ -194,16 +144,10 @@ def _vinterreduce(elems, level, gf2):
     out = list(kept)
     for i in range(len(out)):
         others = out[:i] + out[i + 1:]
-        buckets = _view(others, gf2)
+        buckets = _view(others)
         idx = _index_of(others)
-        if gf2:
-            work = {t for t, _ in out[i]}
-            _, rem = _vnf2(work, buckets, level, len(others), idx, False)
-            out[i] = _canon_set(rem, level)
-        else:
-            work = dict(out[i])
-            _, rem = _vnf(work, buckets, level, len(others), idx, False)
-            out[i] = _canon_dict(rem, level)
+        _, rem = _vnf(dict(out[i]), buckets, level, len(others), idx, False)
+        out[i] = _canon_dict(rem, level)
     return out
 
 
@@ -228,10 +172,9 @@ def _syzygy_level(level, elems, caps, counter):
     """
     ring = level.ring
     fld = ring.field
-    gf2 = ring.field.p == 2 and ring.field.e == 1
     leads = [e[0][0] for e in elems]
     nxt = _Level(ring, level, leads)
-    buckets = _view(elems, gf2)
+    buckets = _view(elems)
     idx = _index_of(elems)
     guard = ring.guard
     out = []
@@ -252,67 +195,34 @@ def _syzygy_level(level, elems, caps, counter):
                 L = ring.mono_lcm(mi, mj)
                 ui = L - mi
                 uj = L - mj
-                if gf2:
-                    work = set()
-                    for pair in ((i, ui), (j, uj)):
-                        e, shift = elems[pair[0]], pair[1]
-                        for (cc, mm), _ in e:
-                            s = shift + mm
-                            if s & guard:
-                                raise ResourceCapExceeded("monomial overflow in S-vector")
-                            u = (cc, s)
-                            if u in work:
-                                work.discard(u)
-                            else:
-                                work.add(u)
-                    quots, rem = _vnf2(work, buckets, level, len(elems), idx, True)
-                    if rem:
-                        raise InternalInconsistency("syzygy pair left a remainder")
-                    syz = {(i, ui), (j, uj)}
-                    for t, qs in enumerate(quots):
-                        if qs:
-                            for q in qs:
-                                u = (t, q)
-                                if u in syz:
-                                    syz.discard(u)
-                                else:
-                                    syz.add(u)
-                    if syz:
-                        out.append(_canon_set(syz, nxt))
-                else:
-                    work = {}
-                    for e, shift, sign in ((elems[i], ui, 1), (elems[j], uj, -1)):
-                        for (cc, mm), ct in e:
-                            s = shift + mm
-                            if s & guard:
-                                raise ResourceCapExceeded("monomial overflow in S-vector")
-                            u = (cc, s)
-                            v = ct if sign == 1 else fld.neg(ct)
-                            v = fld.add(work.get(u, 0), v)
+                work = {}
+                for e, shift, sign in ((elems[i], ui, 1), (elems[j], uj, -1)):
+                    for (cc, mm), ct in e:
+                        s = shift + mm
+                        if s & guard:
+                            raise ResourceCapExceeded("monomial overflow in S-vector")
+                        u = (cc, s)
+                        v = ct if sign == 1 else fld.neg(ct)
+                        v = fld.add(work.get(u, 0), v)
+                        if v:
+                            work[u] = v
+                        else:
+                            work.pop(u, None)
+                quots, rem = _vnf(work, buckets, level, len(elems), idx, True)
+                if rem:
+                    raise InternalInconsistency("syzygy pair left a remainder")
+                syz = {(i, ui): 1, (j, uj): fld.neg(1)}  # i != j: distinct keys
+                for t, qd in enumerate(quots):
+                    if qd:
+                        for q, cv in qd.items():
+                            u = (t, q)
+                            v = fld.sub(syz.get(u, 0), cv)
                             if v:
-                                work[u] = v
+                                syz[u] = v
                             else:
-                                work.pop(u, None)
-                    quots, rem = _vnf(work, buckets, level, len(elems), idx, True)
-                    if rem:
-                        raise InternalInconsistency("syzygy pair left a remainder")
-                    syz = {(i, ui): 1}
-                    v = fld.sub(syz.get((j, uj), 0), 1)
-                    if v:
-                        syz[(j, uj)] = v
-                    else:
-                        syz.pop((j, uj), None)
-                    for t, qd in enumerate(quots):
-                        if qd:
-                            for q, cv in qd.items():
-                                u = (t, q)
-                                v = fld.sub(syz.get(u, 0), cv)
-                                if v:
-                                    syz[u] = v
-                                else:
-                                    syz.pop(u, None)
-                    if syz:
-                        out.append(_canon_dict(syz, nxt))
+                                syz.pop(u, None)
+                if syz:
+                    out.append(_canon_dict(syz, nxt))
     return nxt, out
 
 
@@ -576,7 +486,6 @@ def minimal_free_resolution(ideal, caps=None):
 
     start = [tuple(((0, m), cf) for m, cf in g.terms) for g in gb]
     columns = [None, _sort_basis(start, ring)]
-    gf2 = ring.field.p == 2 and ring.field.e == 1
     level = _Level(ring)
     cur = columns[1]
     counter = [0]
@@ -584,7 +493,7 @@ def minimal_free_resolution(ideal, caps=None):
         if len(columns) > ring.nvars + 2:
             raise InternalInconsistency("syzygy cascade failed to terminate")
         nxt, syz = _syzygy_level(level, cur, caps, counter)
-        syz = _vinterreduce(syz, nxt, gf2)
+        syz = _vinterreduce(syz, nxt)
         syz = _sort_basis(syz, ring)
         if syz:
             columns.append(syz)
@@ -624,387 +533,3 @@ def cohen_macaulay_defect(ideal, caps=None):
     res = minimal_free_resolution(ideal, caps)
     depth = ideal.ring.nvars - res.length
     return ideal.dimension() - depth
-
-
-# ---------------------------------------------------------------------------
-# graded free modules and syzygies of an arbitrary generating list
-# ---------------------------------------------------------------------------
-
-class GradedFreeModule:
-    """A free module over a polynomial ring with one degree shift per slot."""
-
-    __slots__ = ("ring", "shifts")
-
-    def __init__(self, ring, shifts):
-        self.ring = ring
-        self.shifts = tuple(int(s) for s in shifts)
-
-    @property
-    def rank(self):
-        return len(self.shifts)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GradedFreeModule)
-            and self.ring == other.ring
-            and self.shifts == other.shifts
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.shifts))
-
-    def __repr__(self):
-        return f"GradedFreeModule(rank {self.rank}, shifts {list(self.shifts)})"
-
-    def zero(self):
-        z = self.ring.zero()
-        return ModuleElement(self, (z,) * self.rank)
-
-    def unit(self, i):
-        """The i-th standard basis vector."""
-        z = self.ring.zero()
-        coords = [z] * self.rank
-        coords[i] = self.ring.one()
-        return ModuleElement(self, coords)
-
-
-class ModuleElement:
-    """A coordinate vector of polynomials over a graded free module."""
-
-    __slots__ = ("module", "coords")
-
-    def __init__(self, module, coords):
-        coords = tuple(coords)
-        if len(coords) != module.rank:
-            raise RingMismatch("coordinate count differs from module rank")
-        for p in coords:
-            if p.ring != module.ring:
-                raise RingMismatch("coordinate outside the module's ring")
-        self.module = module
-        self.coords = coords
-
-    def is_zero(self):
-        return all(p.is_zero() for p in self.coords)
-
-    def degree(self):
-        """Common degree of coordinate-plus-shift, or None if mixed.
-
-        The zero element is homogeneous of degree 0 by the same convention
-        as the zero polynomial.
-        """
-        degs = set()
-        for p, s in zip(self.coords, self.module.shifts):
-            if p.is_zero():
-                continue
-            d = is_homogeneous(p)
-            if d is None:
-                return None
-            degs.add(d + s)
-        if not degs:
-            return 0
-        if len(degs) > 1:
-            return None
-        return degs.pop()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ModuleElement)
-            and self.module == other.module
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.module, self.coords))
-
-    def __repr__(self):
-        return f"ModuleElement({list(self.coords)})"
-
-    def __add__(self, other):
-        if not isinstance(other, ModuleElement) or other.module != self.module:
-            return NotImplemented
-        return ModuleElement(
-            self.module, tuple(a + b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, ModuleElement) or other.module != self.module:
-            return NotImplemented
-        return ModuleElement(
-            self.module, tuple(a - b for a, b in zip(self.coords, other.coords))
-        )
-
-    def __rmul__(self, poly):
-        if not isinstance(poly, Polynomial):
-            return NotImplemented
-        return ModuleElement(self.module, tuple(poly * p for p in self.coords))
-
-    def __neg__(self):
-        return ModuleElement(self.module, tuple(-p for p in self.coords))
-
-
-def syzygies(gens, caps=None):
-    """A generating set of the syzygy module of homogeneous generators.
-
-    Accepts a list of Polynomials (read as elements of the rank-one free
-    module) or of ModuleElements over a common module.  Returns
-    ModuleElements v, one slot per generator, with
-    sum(v[i] * gens[i]) = 0 as a module identity.
-    """
-    caps = caps or config.DEFAULT
-    gens = list(gens)
-    if not gens:
-        return []
-    if isinstance(gens[0], ModuleElement):
-        source = gens[0].module
-        ring = source.ring
-        for g in gens:
-            if not isinstance(g, ModuleElement) or g.module != source:
-                raise RingMismatch("generators live in different modules")
-        elems = gens
-    else:
-        ring = gens[0].ring
-        for g in gens:
-            if isinstance(g, ModuleElement) or g.ring != ring:
-                raise RingMismatch("generators live in different rings")
-        source = GradedFreeModule(ring, (0,))
-        elems = [ModuleElement(source, (g,)) for g in gens]
-    degs = []
-    for g in elems:
-        d = g.degree()
-        if d is None:
-            raise NonHomogeneousInput("syzygies require homogeneous generators")
-        degs.append(d)
-    target = GradedFreeModule(ring, degs)
-
-    n = len(elems)
-    zero = ring.zero()
-    out = []
-    live = [i for i, g in enumerate(elems) if not g.is_zero()]
-    for i, g in enumerate(elems):
-        if g.is_zero():
-            out.append(target.unit(i).coords)
-    if live:
-        level = _Level(ring)
-        canon = [_elem_terms(elems[i], level) for i in live]
-        rows = _module_syzygies(canon, ring, level, caps)
-        for row in rows:
-            vec = [zero] * n
-            for pos, i in enumerate(live):
-                vec[i] = row[pos]
-            out.append(tuple(vec))
-    seen = set()
-    final = []
-    for v in out:
-        if all(p.is_zero() for p in v) or v in seen:
-            continue
-        seen.add(v)
-        for c in range(source.rank):
-            check = zero
-            for p, g in zip(v, elems):
-                check = check + p * g.coords[c]
-            if not check.is_zero():
-                raise InternalInconsistency("candidate syzygy does not annihilate")
-        final.append(ModuleElement(target, v))
-    return final
-
-
-def _elem_terms(elem, level):
-    """Canonical monic term tuple (((component, monomial), coeff), ...)."""
-    fld = level.ring.field
-    d = {}
-    for c, p in enumerate(elem.coords):
-        for m, cf in p.terms:
-            d[(c, m)] = cf
-    items = sorted(d.items(), key=lambda kv: level.key(kv[0]), reverse=True)
-    lc = items[0][1]
-    if lc != 1:
-        inv = fld.inv(lc)
-        items = [(t, fld.mul(cf, inv)) for t, cf in items]
-    return tuple(items), lc
-
-
-def _module_syzygies(canon, ring, level, caps):
-    """Syzygies of nonzero module elements, as rows of polynomials.
-
-    Tracked Buchberger at module level: every basis element carries its
-    expression in the input generators, S-vectors are formed only for
-    pairs sharing a lead component, and no pair is skipped, because the
-    skipped pairs are exactly the syzygies we are after.
-    """
-    fld = ring.field
-    gf2 = fld.p == 2 and fld.e == 1
-    guard = ring.guard
-    s = len(canon)
-    zero = ring.zero()
-    basis = []
-    rows = []
-    for i, (terms, lc) in enumerate(canon):
-        basis.append(terms)
-        row = [zero] * s
-        row[i] = ring.constant(1 if lc == 1 else fld.inv(lc))
-        rows.append(row)
-
-    def spair_data(i, j):
-        mi = basis[i][0][0][1]
-        mj = basis[j][0][0][1]
-        L = ring.mono_lcm(mi, mj)
-        return L - mi, L - mj
-
-    def shifted(idx, shift, sign):
-        """Terms of x^shift * basis[idx], optionally negated."""
-        for (cc, mm), ct in basis[idx]:
-            t = shift + mm
-            if t & guard:
-                raise ResourceCapExceeded("monomial overflow in S-vector")
-            yield (cc, t), (ct if sign == 1 else fld.neg(ct))
-
-    pairs = []
-
-    def add_pairs(t):
-        ct = basis[t][0][0][0]
-        for k in range(t):
-            if basis[k][0][0][0] == ct:
-                pairs.append((k, t))
-
-    for t in range(s):
-        add_pairs(t)
-
-    buckets = _view(basis, gf2)
-    idx = _index_of(basis)
-    pos = 0
-    count = 0
-    while pos < len(pairs):
-        i, j = pairs[pos]
-        pos += 1
-        count += 1
-        if count > caps.pair_cap:
-            raise ResourceCapExceeded(f"pair count exceeds cap {caps.pair_cap}")
-        ui, uj = spair_data(i, j)
-        if gf2:
-            work = set()
-            for t, _ in shifted(i, ui, 1):
-                work.symmetric_difference_update((t,))
-            for t, _ in shifted(j, uj, 1):
-                work.symmetric_difference_update((t,))
-            quots, rem = _vnf2(work, buckets, level, len(basis), idx, True)
-        else:
-            work = {}
-            for t, v in shifted(i, ui, 1):
-                nv = fld.add(work.get(t, 0), v)
-                if nv:
-                    work[t] = nv
-                else:
-                    del work[t]
-            for t, v in shifted(j, uj, -1):
-                nv = fld.add(work.get(t, 0), v)
-                if nv:
-                    work[t] = nv
-                else:
-                    work.pop(t, None)
-            quots, rem = _vnf(work, buckets, level, len(basis), idx, True)
-        if not rem:
-            continue
-        qpolys = _quot_polys(quots, ring, gf2)
-        mi = Polynomial(ring, ((ui, 1),))
-        mj = Polynomial(ring, ((uj, 1),))
-        row = []
-        for l in range(s):
-            acc = mi * rows[i][l] - mj * rows[j][l]
-            for t, q in enumerate(qpolys):
-                if q is not None:
-                    acc = acc - q * rows[t][l]
-            row.append(acc)
-        if gf2:
-            new = _canon_set(rem, level)
-        else:
-            new = _canon_dict(rem, level)
-            lc = new[0][1]
-            if lc != 1:
-                inv = fld.inv(lc)
-                new = tuple((t, fld.mul(cf, inv)) for t, cf in new)
-                row = [p.scale(inv) for p in row]
-        t = len(basis)
-        basis.append(new)
-        rows.append(row)
-        buckets = _view(basis, gf2)
-        idx = _index_of(basis)
-        add_pairs(t)
-
-    # Every remaining pair reduces to zero; its division record is a syzygy
-    # of the basis, and the basis rows push it back to the generators.
-    out = []
-    for i, j in pairs:
-        ui, uj = spair_data(i, j)
-        if gf2:
-            work = set()
-            for t, _ in shifted(i, ui, 1):
-                work.symmetric_difference_update((t,))
-            for t, _ in shifted(j, uj, 1):
-                work.symmetric_difference_update((t,))
-            quots, rem = _vnf2(work, buckets, level, len(basis), idx, True)
-        else:
-            work = {}
-            for t, v in shifted(i, ui, 1):
-                nv = fld.add(work.get(t, 0), v)
-                if nv:
-                    work[t] = nv
-                else:
-                    del work[t]
-            for t, v in shifted(j, uj, -1):
-                nv = fld.add(work.get(t, 0), v)
-                if nv:
-                    work[t] = nv
-                else:
-                    work.pop(t, None)
-            quots, rem = _vnf(work, buckets, level, len(basis), idx, True)
-        if rem:
-            raise InternalInconsistency("final basis failed a pair reduction")
-        qpolys = _quot_polys(quots, ring, gf2)
-        over_basis = [zero] * len(basis)
-        over_basis[i] = over_basis[i] + Polynomial(ring, ((ui, 1),))
-        over_basis[j] = over_basis[j] - Polynomial(ring, ((uj, 1),))
-        for t, q in enumerate(qpolys):
-            if q is not None:
-                over_basis[t] = over_basis[t] - q
-        vec = []
-        for l in range(s):
-            acc = zero
-            for t, w in enumerate(over_basis):
-                if not w.is_zero():
-                    acc = acc + w * rows[t][l]
-            vec.append(acc)
-        out.append(tuple(vec))
-
-    # rows of (identity - B*A), where B expresses the generators in the basis
-    for jg, (terms, lc) in enumerate(canon):
-        if gf2:
-            work = {t for t, _ in terms}
-            quots, rem = _vnf2(work, buckets, level, len(basis), idx, True)
-        else:
-            work = dict(terms)
-            quots, rem = _vnf(work, buckets, level, len(basis), idx, True)
-        if rem:
-            raise InternalInconsistency("generator does not reduce to zero")
-        qpolys = _quot_polys(quots, ring, gf2)
-        scale = ring.constant(lc)
-        vec = []
-        for l in range(s):
-            acc = ring.one() if l == jg else zero
-            for t, q in enumerate(qpolys):
-                if q is not None:
-                    acc = acc - scale * q * rows[t][l]
-            vec.append(acc)
-        out.append(tuple(vec))
-    return out
-
-
-def _quot_polys(quots, ring, gf2):
-    out = []
-    for q in quots:
-        if not q:
-            out.append(None)
-        elif gf2:
-            out.append(ring.from_dict({m: 1 for m in q}))
-        else:
-            out.append(ring.from_dict(q))
-    return out

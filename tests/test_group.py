@@ -223,6 +223,14 @@ def test_variety_points_counts(two_planes):
         variety_points(two_planes.variety, caps=Caps(point_cap=10))
 
 
+def test_variety_points_obeys_the_presentations_enum_cap():
+    F8 = make_field(2, 3, [1, 1, 0, 1])
+    ring = PolynomialRing(F8, ("x", "y"))
+    with pytest.raises(EnumerationCapExceeded):
+        variety_points(VarietyPresentation(ring, caps=Caps(enum_cap=4)))
+    assert len(variety_points(VarietyPresentation(ring, caps=Caps(enum_cap=8)))) == 64
+
+
 def test_orbit_sizes_divide_group_order(two_planes):
     G = two_planes.group
     pts = variety_points(two_planes.variety)

@@ -315,6 +315,21 @@ def test_cli_resource_cap_exit_code():
     assert "resource cap" in proc.stdout + proc.stderr
 
 
+def test_cli_malformed_cap_variable_is_an_input_error():
+    env = dict(os.environ, SEPINV_PAIR_CAP="abc")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sepinv", "group", "analyze", "-m", "additive-2"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: SEPINV_PAIR_CAP must be an integer, got 'abc'"
+    ]
+
+
 # Runs a console-script target the way the wrapper that pip generates does:
 # load "module:attr", name the program after the script, exit with its result.
 _SCRIPT_WRAPPER = """\
