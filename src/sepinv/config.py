@@ -7,7 +7,8 @@ and the test-suite share one knob set:
     SEPINV_DEGREE_CAP  maximum total degree of any intermediate term
     SEPINV_GROUP_CAP   maximum group order during closure enumeration
     SEPINV_ENUM_CAP    maximum field size for element enumeration
-    SEPINV_POINT_CAP   maximum number of ambient points scanned in point checks
+    SEPINV_POINT_CAP   maximum q^n of the coordinate tuples in a point check,
+                       checked before the scan
 
 The variables are read when caps are needed, not at import, so a malformed
 value surfaces as a CapsEnvironmentError where the caller can report it.

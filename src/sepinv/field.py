@@ -78,6 +78,8 @@ class Field:
     e: int
     modulus: tuple | None = None  # e+1 coefficients, low-degree first, monic
     gen_name: str = "t"
+    # (q, mul, inv) for tabled extension fields: q is stored so that mul
+    # need not recompute p ** e on every call
     _tables: tuple = dc_field(default=None, repr=False, compare=False)
 
     @property
@@ -121,8 +123,9 @@ class Field:
     def mul(self, a, b):
         if self.e == 1:
             return (a * b) % self.p
-        if self._tables is not None:
-            return self._tables[0][a * self.order + b]
+        tables = self._tables
+        if tables is not None:
+            return tables[1][a * tables[0] + b]
         return self._mul_slow(a, b)
 
     def inv(self, a):
@@ -131,7 +134,7 @@ class Field:
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
         if self._tables is not None:
-            return self._tables[1][a]
+            return self._tables[2][a]
         # a^(q-2) = a^(-1) in F_q
         r, base, k = 1, a, self.order - 2
         while k:
@@ -201,7 +204,8 @@ class Field:
         limit = config.from_env().enum_cap if cap is None else cap
         if self.order > limit:
             raise EnumerationCapExceeded(
-                f"field has {self.order} elements, cap is {limit}"
+                f"enumerate_raw: field has {self.order} elements, exceeding "
+                f"enum_cap {limit} (SEPINV_ENUM_CAP)"
             )
         return range(self.order)
 
@@ -332,7 +336,7 @@ def make_field(p, e=1, modulus=None, gen_name="t"):
                 if mul_table[a * q + b] == 1:
                     inv_table[a] = b
                     break
-        f = Field(p, e, modulus, gen_name, (mul_table, inv_table))
+        f = Field(p, e, modulus, gen_name, (q, mul_table, inv_table))
     return f
 
 

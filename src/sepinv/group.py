@@ -292,8 +292,13 @@ def variety_connected_in_codim(variety, k):
 def variety_points(variety, field=None, caps=None):
     """All points of the variety with coordinates in the given field.
 
-    The field may be an extension of the base field's prime field; the
-    scan is capped, since it walks all q^n coordinate tuples.
+    The field may be an extension of the base field's prime field.  The
+    q^n coordinate tuples are capped by `point_cap` before the scan
+    starts.  The scan assigns x_1, ..., x_n in turn and tests each
+    generator as soon as its last variable is set, so a prefix that no
+    component can contain is dropped with all its completions.  Past the
+    last variable any generator uses, every completion is a point.
+    Points come out in `itertools.product` order.
     """
     fld = field or variety.ring.field
     caps = caps or variety.caps
@@ -301,15 +306,47 @@ def variety_points(variety, field=None, caps=None):
     total = fld.order ** n
     if total > caps.point_cap:
         raise EnumerationCapExceeded(
-            f"{total} candidate points exceed cap {caps.point_cap}"
+            f"variety_points: {total} candidate points exceed point_cap "
+            f"{caps.point_cap} (SEPINV_POINT_CAP)"
         )
+    values = fld.enumerate_raw(caps.enum_cap)
+    # tests[k][c]: component c's generators whose last variable is x_k
+    tests = [[[] for _ in variety.components] for _ in range(n)]
+    for c, comp in enumerate(variety.components):
+        for g in comp.gens:
+            last = max(
+                (i for exps, _ in g.as_pairs() for i, e in enumerate(exps) if e),
+                default=0,
+            )
+            tests[last][c].append(g.evaluator(fld))
+    while tests and not any(tests[-1]):
+        tests.pop()
     points = []
-    for pt in itertools.product(fld.enumerate_raw(caps.enum_cap), repeat=n):
-        for comp in variety.components:
-            if all(g.evaluate(pt, fld) == 0 for g in comp.gens):
-                points.append(pt)
-                break
+    _complete(points, [0] * n, 0, range(len(variety.components)), tests, values)
     return points
+
+
+def _complete(points, prefix, k, live, tests, values):
+    """Append every point of the variety that extends prefix[:k].
+
+    `live` lists the components that may still contain the prefix, and
+    tests[j][c] the evaluators for component c's generators whose last
+    variable is x_j.  Past the last level of tests, every completion is
+    a point.
+    """
+    if k == len(tests):
+        head = tuple(prefix[:k])
+        points.extend(
+            head + tail
+            for tail in itertools.product(values, repeat=len(prefix) - k)
+        )
+        return
+    level = tests[k]
+    for x in values:
+        prefix[k] = x
+        alive = [c for c in live if all(f(prefix) == 0 for f in level[c])]
+        if alive:
+            _complete(points, prefix, k + 1, alive, tests, values)
 
 
 def orbit(group, point, field=None):

@@ -334,16 +334,32 @@ class Polynomial:
         """
         if len(point) != self.ring.nvars:
             raise DimensionMismatch("point length != number of variables")
+        return self.evaluator(field)(point)
+
+    def evaluator(self, field=None):
+        """This polynomial as a function of a point, for repeated evaluation.
+
+        The monomials are unpacked once, here.  The returned function
+        reads only the coordinates of variables that occur and does not
+        check the point's length; `evaluate` is the checked entry point.
+        """
         fld = _embedding_field(self.ring.field, field)
-        total = 0
-        for m, c in self.terms:
-            v = c
-            exps = self.ring.unpack(m)
-            for x, e in zip(point, exps):
-                if e:
-                    v = fld.mul(v, fld.pow(x, e))
-            total = fld.add(total, v)
-        return total
+        mul, add, pow_ = fld.mul, fld.add, fld.pow
+        terms = tuple(
+            (c, tuple((i, e) for i, e in enumerate(self.ring.unpack(m)) if e))
+            for m, c in self.terms
+        )
+
+        def value(point):
+            total = 0
+            for c, factors in terms:
+                v = c
+                for i, e in factors:
+                    v = mul(v, point[i] if e == 1 else pow_(point[i], e))
+                total = add(total, v)
+            return total
+
+        return value
 
     def substitute(self, images):
         """Substitute variable i by the polynomial images[i]."""

@@ -23,7 +23,6 @@ from .group import (
     generated_by,
     k_reflections,
     min_reflection_number,
-    orbit,
     variety_connected_in_codim,
     variety_points,
 )
@@ -102,23 +101,24 @@ def verify_separating_symbolic(candidate, model):
 def verify_separating_points(candidate, group, variety, field=None, caps=None):
     """Brute-force check over one finite field: necessary evidence only.
 
-    Buckets the variety's rational points by their candidate values;
-    the candidate passes when every bucket is contained in a single
-    group orbit.
+    The candidate passes when all rational points of the variety with
+    the same candidate values lie in one group orbit.  One pass over the
+    points remembers the first point with each value tuple; every later
+    point with those values must be its image under some group element,
+    and the first that is not decides the verdict.
     """
     _check_invariance(candidate, group)
     fld = field or variety.ring.field
-    buckets = {}
-    for pt in variety_points(variety, fld, caps or variety.caps):
-        values = tuple(g.evaluate(pt, fld) for g in candidate.polynomials)
-        buckets.setdefault(values, []).append(pt)
-    for members in buckets.values():
-        if len(members) == 1:
-            continue
-        first = set(orbit(group, members[0], fld))
-        for pt in members[1:]:
-            if pt not in first:
-                return False
+    points = variety_points(variety, fld, caps or variety.caps)
+    evaluators = [g.evaluator(fld) for g in candidate.polynomials]
+    first = {}
+    for pt in points:
+        values = tuple(f(pt) for f in evaluators)
+        rep = first.setdefault(values, pt)
+        if rep is not pt and not any(
+            s.apply_point(rep, fld) == pt for s in group
+        ):
+            return False
     return True
 
 

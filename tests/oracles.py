@@ -225,3 +225,90 @@ def hilbert_function(nvars, gens, p, degrees):
 
 def binomial_dim(nvars, d):
     return comb(d + nvars - 1, nvars - 1) if d >= 0 else 0
+
+
+# -- rational points and the point check, by brute force -----------------------
+
+
+def naive_field_ops(field):
+    """(add, mul) on raw elements of F_p[t]/(modulus), digit by digit.
+
+    Reads only p, e and the modulus of the engine's field, so it shares no
+    arithmetic with it.
+    """
+    p, e = field.p, field.e
+    if e == 1:
+        return (lambda a, b: (a + b) % p), (lambda a, b: (a * b) % p)
+
+    def digits(a):
+        return [(a // p ** i) % p for i in range(e)]
+
+    def undigits(ds):
+        return sum(c * p ** i for i, c in enumerate(ds))
+
+    def add(a, b):
+        return undigits([(x + y) % p for x, y in zip(digits(a), digits(b))])
+
+    def mul(a, b):
+        prod = [0] * (2 * e - 1)
+        for i, x in enumerate(digits(a)):
+            for j, y in enumerate(digits(b)):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        # t^e = -(modulus[0] + ... + modulus[e-1] t^(e-1)), modulus monic
+        for k in range(2 * e - 2, e - 1, -1):
+            c = prod[k]
+            prod[k] = 0
+            for i in range(e):
+                prod[k - e + i] = (prod[k - e + i] - c * field.modulus[i]) % p
+        return undigits(prod[:e])
+
+    return add, mul
+
+
+def naive_value(table, point, field):
+    """Value of an {exponent tuple: coefficient} polynomial at a raw point."""
+    add, mul = naive_field_ops(field)
+    total = 0
+    for exps, c in table.items():
+        v = c
+        for x, k in zip(point, exps):
+            for _ in range(k):
+                v = mul(v, x)
+        total = add(total, v)
+    return total
+
+
+def naive_variety_points(components, nvars, field):
+    """Every coordinate tuple, in itertools.product order, at which all the
+    generators of some component vanish.  Components are lists of tables."""
+    return [
+        pt for pt in itertools.product(range(field.p ** field.e), repeat=nvars)
+        if any(all(naive_value(g, pt, field) == 0 for g in comp)
+               for comp in components)
+    ]
+
+
+def naive_apply(matrix, translation, point, field):
+    add, mul = naive_field_ops(field)
+    out = []
+    for row, b in zip(matrix, translation):
+        acc = b
+        for a, x in zip(row, point):
+            acc = add(acc, mul(a, x))
+        out.append(acc)
+    return tuple(out)
+
+
+def naive_point_check(candidate, maps, points, field):
+    """Bucket the points by candidate values, then require every bucket to
+    lie in the orbit of its first member.  `maps` are (matrix, translation)
+    pairs listing the whole group."""
+    buckets = {}
+    for pt in points:
+        values = tuple(naive_value(g, pt, field) for g in candidate)
+        buckets.setdefault(values, []).append(pt)
+    for members in buckets.values():
+        orbit = {naive_apply(a, b, members[0], field) for a, b in maps}
+        if any(pt not in orbit for pt in members):
+            return False
+    return True

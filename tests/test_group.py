@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sepinv import (
     AffineMap,
@@ -29,7 +30,7 @@ from sepinv.errors import (
 )
 from sepinv.group import generated_by, variety_pairwise_codim
 
-from .oracles import rank
+from .oracles import naive_from, naive_variety_points, rank
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -219,16 +220,70 @@ def test_variety_points_counts(two_planes):
     assert len(variety_points(square)) == 4
     F4 = make_field(2, 2, [1, 1, 1])
     assert len(variety_points(square, field=F4)) == 16
-    with pytest.raises(EnumerationCapExceeded):
+    with pytest.raises(
+        EnumerationCapExceeded,
+        match=r"^variety_points: 625 candidate points exceed point_cap 10 "
+        r"\(SEPINV_POINT_CAP\)$",
+    ):
         variety_points(two_planes.variety, caps=Caps(point_cap=10))
 
 
 def test_variety_points_obeys_the_presentations_enum_cap():
     F8 = make_field(2, 3, [1, 1, 0, 1])
     ring = PolynomialRing(F8, ("x", "y"))
-    with pytest.raises(EnumerationCapExceeded):
+    with pytest.raises(
+        EnumerationCapExceeded,
+        match=r"^enumerate_raw: field has 8 elements, exceeding enum_cap 4 "
+        r"\(SEPINV_ENUM_CAP\)$",
+    ):
         variety_points(VarietyPresentation(ring, caps=Caps(enum_cap=4)))
     assert len(variety_points(VarietyPresentation(ring, caps=Caps(enum_cap=8)))) == 64
+
+
+# an irreducible quadratic in x1 over each base field: a component with no
+# rational point over F_p, though it has points over F_{p^2}
+POINTLESS = {2: "x1^2 + x1 + 1", 3: "x1^2 + 1", 5: "x1^2 + 2"}
+EXTENSIONS = {2: make_field(2, 2, [1, 1, 1]), 3: make_field(3, 2, [1, 0, 1])}
+
+
+@st.composite
+def presentations(draw):
+    """(variety, scan field): 1-3 components, each a proper ideal given by
+    1-2 polynomials of degree <= 2 per variable, some in x1 alone."""
+    p = draw(st.sampled_from(sorted(POINTLESS)))
+    n = draw(st.integers(1, 3))
+    ring = PolynomialRing(make_field(p), tuple(f"x{i + 1}" for i in range(n)))
+    components = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 4)) == 0:
+            components.append(Ideal(ring, [ring.parse(POINTLESS[p])]))
+            continue
+        gens = []
+        for _ in range(draw(st.integers(1, 2))):
+            used = 1 if draw(st.booleans()) else n
+            terms = draw(st.lists(
+                st.tuples(st.lists(st.integers(0, 2), min_size=used,
+                                   max_size=used),
+                          st.integers(1, p - 1)),
+                min_size=1, max_size=3))
+            gens.append(ring.from_dict({
+                ring.pack(exps + [0] * (n - used)): c for exps, c in terms
+            }))
+        ideal = Ideal(ring, gens)
+        assume(not ideal.is_unit())
+        components.append(ideal)
+    variety = VarietyPresentation(ring, components)
+    extend = p in EXTENSIONS and draw(st.booleans())
+    return variety, EXTENSIONS[p] if extend else ring.field
+
+
+@settings(max_examples=60, deadline=None)
+@given(presentations())
+def test_variety_points_matches_brute_force_scan(case):
+    variety, field = case
+    tables = [[naive_from(g) for g in comp.gens] for comp in variety.components]
+    want = naive_variety_points(tables, variety.n, field)
+    assert variety_points(variety, field) == want
 
 
 def test_orbit_sizes_divide_group_order(two_planes):

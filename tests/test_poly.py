@@ -201,6 +201,7 @@ def test_as_pairs_is_order_descending():
 def test_evaluate_prime_field():
     f = R5.parse("x^2*y + 2*z + 1")
     assert f.evaluate((2, 3, 1)) == (4 * 3 + 2 + 1) % 5
+    assert f.evaluator()((2, 3, 1)) == f.evaluate((2, 3, 1))
     assert R5.zero().evaluate((1, 1, 1)) == 0
     with pytest.raises(DimensionMismatch):
         f.evaluate((1, 2))
@@ -217,6 +218,7 @@ def test_evaluate_in_extension_field():
         F4.add(F4.mul(t, F4.add(t, 1)), F4.mul(F4.add(t, 1), F4.add(t, 1))),
     )
     assert val == direct
+    assert f.evaluator(F4)((t, F4.add(t, 1))) == val
     with pytest.raises(RingMismatch):
         f.evaluate((0, 0), field=F5)
 

@@ -18,6 +18,8 @@ from sepinv import (
 )
 from sepinv.errors import InternalInconsistency, NotInvariant, RingMismatch
 
+from .oracles import naive_from, naive_point_check, naive_variety_points
+
 F2 = make_field(2)
 F5 = make_field(5)
 
@@ -83,6 +85,37 @@ def test_point_check_is_only_necessary_evidence():
     identity = SeparatingCandidate("identity-map", [ring.parse("x1")])
     assert verify_separating_points(identity, model.group, model.variety)
     assert verify_separating_symbolic(identity, model)
+
+
+def _oracle_verdict(candidate, group, variety, field):
+    tables = [[naive_from(g) for g in comp.gens] for comp in variety.components]
+    points = naive_variety_points(tables, variety.n, field)
+    maps = [(s.matrix, s.translation) for s in group]
+    return naive_point_check(
+        [naive_from(g) for g in candidate.polynomials], maps, points, field
+    )
+
+
+def test_point_check_agrees_with_bucket_then_orbit_oracle(
+    id10253, two_planes, additive3
+):
+    F4 = make_field(2, 2, [1, 1, 1])
+    first_coordinate = SeparatingCandidate(
+        "first-coordinate", [two_planes.ring.parse("x1")]
+    )
+    line, ring = trivial_line_model()
+    cases = [
+        (id10253, id10253.candidates["f1-only"], F4, False),
+        (two_planes, first_coordinate, F5, False),
+        (id10253, id10253.candidates["main"], F4, True),
+        (two_planes, two_planes.candidates["restricted"], F5, True),
+        (additive3, additive3.candidates["generators"], make_field(3), True),
+        (line, SeparatingCandidate("cube", [ring.parse("x1^3")]), F5, True),
+    ]
+    for model, cand, field, separates in cases:
+        got = verify_separating_points(cand, model.group, model.variety, field)
+        assert got is separates
+        assert _oracle_verdict(cand, model.group, model.variety, field) is got
 
 
 def test_audit_concludes_on_id10253(id10253):
