@@ -1,6 +1,14 @@
-"""Groebner bases and the ideal toolbox built on them.
+"""Groebner bases, ideals, and the one reducer they share.
 
-Buchberger's algorithm with the normal selection strategy (smallest lcm
+Every reduction in sepinv, of a polynomial or of an element of a free
+module, runs through `_reduce`: terms are packed ints (see `poly`), the
+leading term is picked by a key function (the ring order for polynomials,
+an induced module order in `resolution`), and reducers are bucketed by
+component, so divisibility is one masked subtraction inside a bucket.  The
+same holds for `_interreduce`, which makes a basis reduced, and for
+`_s_vector`, which builds an S-polynomial or S-vector.
+
+Buchberger's algorithm uses the normal selection strategy (smallest lcm
 degree first), the product criterion, and the chain criterion.  The basis
 returned is always the reduced basis, sorted by increasing leading
 monomial, which makes it canonical: two ideals are equal exactly when
@@ -15,88 +23,51 @@ from . import config
 from .errors import ResourceCapExceeded, RingMismatch, UnitIdeal
 from .poly import GREVLEX, Block, Polynomial, PolynomialRing
 
-_W = 8
-
 
 # ---------------------------------------------------------------------------
-# division
+# the reducer
 # ---------------------------------------------------------------------------
 
-def division(f, divisors):
-    """Divide f by an ordered list, returning (quotients, remainder).
+def _buckets(elems, ring):
+    """Reducers (lead, inv_lc, tail, index) bucketed by lead component.
 
-    The first divisor whose leading monomial divides the working term wins,
-    so the output is deterministic for a fixed list.  Satisfies
-    f = sum(q_i * divisors_i) + remainder, and no remainder monomial is
-    divisible by any leading monomial.
+    `elems` are term tuples, leading term first; a bucket keeps their order,
+    which is the order `_reduce` tries them in.
     """
-    ring = f.ring
     fld = ring.field
-    for g in divisors:
-        if g.ring != ring:
-            raise RingMismatch("division requires a single ring")
-        if g.is_zero():
-            raise ValueError("zero polynomial among divisors")
-    key = ring.key
+    shift = ring.term_shift
+    out = {}
+    for i, e in enumerate(elems):
+        lead, lc = e[0]
+        out.setdefault(lead >> shift, []).append((lead, fld.inv(lc), e[1:], i))
+    return out
+
+
+def _reduce(work, buckets, ring, key, quots):
+    """Remainder of the term dict `work` (consumed) on bucketed reducers.
+
+    The leading term under `key` is cancelled by the first reducer in its
+    component's bucket whose lead divides it.  Unless `quots` is None, each
+    multiplier q of reducer i is added to that dict as the term (i, q).
+    """
+    fld = ring.field
     guard = ring.guard
-    lead = [(g.leading_monomial(), fld.inv(g.leading_coefficient()), g.terms[1:])
-            for g in divisors]
-    work = dict(f.terms)
-    quots = [{} for _ in divisors]
+    shift = ring.term_shift
     rem = {}
     while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for i, (lm, inv_lc, tail) in enumerate(lead):
-            if ((m | guard) - lm) & guard == guard:
-                q = m - lm
+        t = max(work, key=key)
+        c = work.pop(t)
+        for lead, inv_lc, tail, index in buckets.get(t >> shift, ()):
+            if ((t | guard) - lead) & guard == guard:
+                q = t - lead
                 factor = fld.mul(c, inv_lc)
-                qd = quots[i]
-                v = fld.add(qd.get(q, 0), factor)
-                if v:
-                    qd[q] = v
-                else:
-                    qd.pop(q, None)
-                for mt, ct in tail:
-                    s = q + mt
-                    if s & guard:
-                        raise ResourceCapExceeded("monomial overflow in division")
-                    v = fld.sub(work.get(s, 0), fld.mul(factor, ct))
+                if quots is not None:
+                    u = q | (index << shift)
+                    v = fld.add(quots.get(u, 0), factor)
                     if v:
-                        work[s] = v
+                        quots[u] = v
                     else:
-                        work.pop(s, None)
-                break
-        else:
-            rem[m] = c
-    return [ring.from_dict(q) for q in quots], ring.from_dict(rem)
-
-
-def normal_form(f, divisors):
-    """Remainder of f on division by a list of polynomials or an Ideal."""
-    if isinstance(divisors, Ideal):
-        divisors = divisors.groebner_basis()
-    ring = f.ring
-    fld = ring.field
-    basis = [(g.leading_monomial(), fld.inv(g.leading_coefficient()), g.terms[1:])
-             for g in divisors]
-    rem = _reduce(dict(f.terms), basis, ring)
-    return ring.from_dict(rem)
-
-
-def _reduce(work, basis, ring):
-    """Remainder of the term dict `work` (consumed) on (lm, inv_lc, tail) reducers."""
-    fld = ring.field
-    key = ring.key
-    guard = ring.guard
-    rem = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for lm, inv_lc, tail in basis:
-            if ((m | guard) - lm) & guard == guard:
-                q = m - lm
-                factor = fld.mul(c, inv_lc)
+                        quots.pop(u, None)
                 for mt, ct in tail:
                     s = q + mt
                     if s & guard:
@@ -108,36 +79,78 @@ def _reduce(work, basis, ring):
                         work.pop(s, None)
                 break
         else:
-            rem[m] = c
+            rem[t] = c
     return rem
 
 
+def _canon(work, key):
+    """A term dict as a term tuple in decreasing `key` order."""
+    return tuple(sorted(work.items(), key=lambda tc: key(tc[0]), reverse=True))
+
+
+def _s_vector(f, u, cf, g, v, cg, ring):
+    """cf*u*f - cg*v*g as a term dict; u and v are monomial multipliers."""
+    fld = ring.field
+    guard = ring.guard
+    work = {}
+    for terms, shift, coeff in ((f, u, cf), (g, v, fld.neg(cg))):
+        for t, c in terms:
+            s = shift + t
+            if s & guard:
+                raise ResourceCapExceeded("monomial overflow in S-vector")
+            x = fld.add(work.get(s, 0), fld.mul(c, coeff))
+            if x:
+                work[s] = x
+            else:
+                work.pop(s, None)
+    return work
+
+
+def _interreduce(elems, ring, key):
+    """Minimal, monic, tail-reduced form of a Groebner basis of term tuples.
+
+    Returned in increasing order of leading term.  A tail term lies below
+    its own lead, so only elements with smaller leads, already reduced, can
+    reduce it.
+    """
+    fld = ring.field
+    guard = ring.guard
+    shift = ring.term_shift
+    buckets = {}
+    out = []
+    for e in sorted(elems, key=lambda e: key(e[0][0])):
+        lead, lc = e[0]
+        bucket = buckets.setdefault(lead >> shift, [])
+        if any(((lead | guard) - r[0]) & guard == guard for r in bucket):
+            continue  # not minimal
+        inv = fld.inv(lc)
+        rem = _reduce(dict(e[1:]), buckets, ring, key, None)
+        tail = tuple((t, fld.mul(c, inv)) for t, c in _canon(rem, key))
+        bucket.append((lead, 1, tail, len(out)))
+        out.append(((lead, 1),) + tail)
+    return out
+
+
+def normal_form(f, divisors):
+    """Remainder of f on division by a list of polynomials or an Ideal."""
+    if isinstance(divisors, Ideal):
+        divisors = divisors.groebner_basis()
+    ring = f.ring
+    buckets = _buckets([g.terms for g in divisors], ring)
+    return ring.from_dict(_reduce(dict(f.terms), buckets, ring, ring.key, None))
+
+
 def s_polynomial(f, g):
+    """The S-polynomial of f and g, in which their leading terms cancel."""
     ring = f.ring
     if g.ring != ring:
         raise RingMismatch("S-polynomial requires a single ring")
     fld = ring.field
-    L = ring.mono_lcm(f.leading_monomial(), g.leading_monomial())
-    qf = ring.mono_div(L, f.leading_monomial())
-    qg = ring.mono_div(L, g.leading_monomial())
-    d = {}
-    cf = fld.inv(f.leading_coefficient())
-    cg = fld.inv(g.leading_coefficient())
-    for m, c in f.terms:
-        s = ring.mono_mul(qf, m)
-        v = fld.add(d.get(s, 0), fld.mul(c, cf))
-        if v:
-            d[s] = v
-        else:
-            del d[s]
-    for m, c in g.terms:
-        s = ring.mono_mul(qg, m)
-        v = fld.sub(d.get(s, 0), fld.mul(c, cg))
-        if v:
-            d[s] = v
-        else:
-            d.pop(s, None)
-    return ring.from_dict(d)
+    a, b = f.leading_monomial(), g.leading_monomial()
+    L = ring.mono_lcm(a, b)
+    work = _s_vector(f.terms, L - a, fld.inv(f.leading_coefficient()),
+                     g.terms, L - b, fld.inv(g.leading_coefficient()), ring)
+    return ring.from_dict(work)
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +173,13 @@ def groebner_basis(gens, caps=None):
     degree_cap = caps.degree_cap
     pair_cap = caps.pair_cap
 
-    # basis entries: full term tuple plus cached lead data
+    # basis entries: full term tuple plus cached lead data; polynomial
+    # terms all lie in component 0, so one bucket holds every reducer
     basis = []       # list of term tuples
     lms = []
     inv_lcs = []
-    view = []        # reducer view: (lm, inv_lc, tail)
+    view = []
+    buckets = {0: view}
 
     def push(terms):
         lm = terms[0][0]
@@ -176,7 +191,7 @@ def groebner_basis(gens, caps=None):
         lms.append(lm)
         inv = fld.inv(terms[0][1])
         inv_lcs.append(inv)
-        view.append((lm, inv, terms[1:]))
+        view.append((lm, inv, terms[1:], len(view)))
         return len(basis) - 1
 
     heap = []
@@ -225,39 +240,16 @@ def groebner_basis(gens, caps=None):
         if skip:
             continue
 
-        qi = L - lms[i]
-        qj = L - lms[j]
-        work = {}
-        ci = inv_lcs[i]
-        cj = inv_lcs[j]
-        for m, c in basis[i]:
-            s = qi + m
-            if s & guard:
-                raise ResourceCapExceeded("monomial overflow in S-pair")
-            v = fld.add(work.get(s, 0), fld.mul(c, ci))
-            if v:
-                work[s] = v
-            else:
-                del work[s]
-        for m, c in basis[j]:
-            s = qj + m
-            if s & guard:
-                raise ResourceCapExceeded("monomial overflow in S-pair")
-            v = fld.sub(work.get(s, 0), fld.mul(c, cj))
-            if v:
-                work[s] = v
-            else:
-                del work[s]
-        rem = _reduce(work, view, ring)
+        work = _s_vector(basis[i], L - lms[i], inv_lcs[i],
+                         basis[j], L - lms[j], inv_lcs[j], ring)
+        rem = _reduce(work, buckets, ring, key, None)
         if not rem:
             continue
-        terms = tuple(sorted(rem.items(), key=lambda t: key(t[0]), reverse=True))
-        t = push(terms)
+        t = push(_canon(rem, key))
         for i2 in range(t):
             consider(i2, t)
 
-    polys = [Polynomial(ring, terms) for terms in basis]
-    return interreduce(polys)
+    return [Polynomial(ring, terms) for terms in _interreduce(basis, ring, key)]
 
 
 def interreduce(polys):
@@ -266,21 +258,8 @@ def interreduce(polys):
     if not polys:
         return []
     ring = polys[0].ring
-    key = ring.key
-    polys = sorted(polys, key=lambda p: key(p.leading_monomial()))
-    # minimality: drop any element whose lead is divisible by an earlier lead
-    kept = []
-    for p in polys:
-        lm = p.leading_monomial()
-        if any(ring.mono_divides(q.leading_monomial(), lm) for q in kept):
-            continue
-        kept.append(p)
-    # tail reduction against the final leading monomials
-    out = list(kept)
-    for i in range(len(out)):
-        others = out[:i] + out[i + 1:]
-        out[i] = normal_form(out[i], others).monic()
-    return out
+    out = _interreduce([p.terms for p in polys], ring, ring.key)
+    return [Polynomial(ring, terms) for terms in out]
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +278,7 @@ class Ideal:
         self.caps = caps or config.from_env()
         self._gb = {}
         self._dim = None
+        self._resolution = None  # set by resolution.minimal_free_resolution
 
     def __repr__(self):
         return f"Ideal({len(self.gens)} gens in {self.ring})"
@@ -370,7 +350,7 @@ class Ideal:
         """Every generator of self lies in the radical of other."""
         return all(other.radical_contains(g) for g in self.gens)
 
-    # -- elimination, intersection, quotient -----------------------------------
+    # -- elimination and intersection ------------------------------------------
 
     def eliminate(self, drop):
         """Project out the named (or indexed) variables.
@@ -430,21 +410,6 @@ class Ideal:
                 out.append(g.inject(ring, back))
         return Ideal(ring, out, self.caps)
 
-    def quotient(self, f):
-        """The ideal quotient (self : f)."""
-        if f.ring != self.ring:
-            raise RingMismatch("polynomial outside the ideal's ring")
-        if f.is_zero():
-            return Ideal(self.ring, [self.ring.one()], self.caps)
-        meet = self.intersect(Ideal(self.ring, [f], self.caps))
-        out = []
-        for g in meet.gens:
-            quots, rem = division(g, [f])
-            if not rem.is_zero():
-                raise ArithmeticError("intersection generator not divisible")
-            out.append(quots[0])
-        return Ideal(self.ring, out, self.caps)
-
     # -- dimension --------------------------------------------------------------
 
     def dimension(self):
@@ -494,20 +459,19 @@ def _min_transversal(supports):
     for s in supports:
         if not any(t & s == t for t in minimal):
             minimal.append(s)
-    best = [sum(bin(s).count("1") for s in minimal)]
-
-    def rec(mask, count):
-        if count >= best[0]:
-            return
-        for s in minimal:
-            if not s & mask:
-                v = s
-                while v:
-                    low = v & -v
-                    rec(mask | low, count + 1)
-                    v ^= low
-                return
-        best[0] = count
-
-    rec(0, 0)
-    return best[0]
+    best = sum(bin(s).count("1") for s in minimal)
+    # depth-first branch and bound: (chosen variables, how many)
+    stack = [(0, 0)]
+    while stack:
+        mask, count = stack.pop()
+        if count >= best:
+            continue
+        missed = next((s for s in minimal if not s & mask), None)
+        if missed is None:
+            best = count
+            continue
+        while missed:
+            low = missed & -missed
+            stack.append((mask | low, count + 1))
+            missed ^= low
+    return best

@@ -7,6 +7,15 @@ the degree cap in config guarantees that for every sanctioned computation,
 and every packed operation still checks the guard bits so an overflow can
 never corrupt a result silently.
 
+A term of a free module, component c times monomial m, is packed the same
+way: `m | (c << term_shift)`, the component in the bits above the exponent
+bytes (`PolynomialRing.term` and `split`).  A polynomial term is the c = 0
+case, so a polynomial's terms are already module terms.  No carry can reach
+the component bits: two exponents below 128 sum to less than 256, so an
+overflowing byte sets its own guard bit, which every add checks, before it
+could carry.  Hence `t - lead` is the monomial quotient whenever lead
+divides t in the same component.
+
 Polynomials are immutable: a tuple of (packed monomial, raw coefficient)
 pairs, strictly decreasing in the ring's monomial order, no zeros.  All
 arithmetic routes through dicts internally and re-canonicalizes on exit.
@@ -94,6 +103,7 @@ class PolynomialRing:
         self.guard = 0
         for i in range(self.nvars):
             self.guard |= 0x80 << (_W * i)
+        self.term_shift = _W * self.nvars
         self._rawkey = order.keyfn(self.nvars)
         self._keys = {}
         self._degs = {}
@@ -135,6 +145,15 @@ class PolynomialRing:
             out.append(m & 0xFF)
             m >>= _W
         return tuple(out)
+
+    def term(self, c, m):
+        """The module term c-th basis vector times monomial m, packed."""
+        return m | (c << self.term_shift)
+
+    def split(self, t):
+        """(component, monomial) of a packed module term."""
+        c = t >> self.term_shift
+        return c, t - (c << self.term_shift)
 
     def mono_mul(self, a, b):
         s = a + b

@@ -11,6 +11,11 @@ the resulting complex is far from minimal, so constant entries in the
 differentials are cleared by a change of basis that splits off trivial
 two-term complexes until none remain.
 
+Module elements are tuples of (packed module term, coefficient), in the
+encoding of `poly`, and every module reduction runs through the reducer in
+`groebner` with the level's induced order as its key: reduction in a free
+module is polynomial reduction within one component.
+
 Everything here requires homogeneous input; the grading is what makes
 "minimal" well defined and lets depth be read off the length via the
 graded form of the Auslander-Buchsbaum formula.
@@ -24,6 +29,7 @@ from .errors import (
     ResourceCapExceeded,
     UnitIdeal,
 )
+from .groebner import _buckets, _canon, _interreduce, _reduce, _s_vector
 from .poly import is_homogeneous
 
 
@@ -34,10 +40,10 @@ from .poly import is_homogeneous
 class _Level:
     """Key machinery for one free module in the cascade.
 
-    Terms are (component, monomial) pairs.  The base level (parent None)
-    compares by the ring order with smaller component winning ties; an
-    induced level compares images under its basis leads in the parent,
-    again breaking ties toward the smaller component.
+    Terms are packed module terms (`PolynomialRing.term`).  The base level
+    (parent None) compares by the ring order with smaller component winning
+    ties; an induced level compares images under its basis leads in the
+    parent, again breaking ties toward the smaller component.
     """
 
     __slots__ = ("ring", "parent", "leads", "_keys")
@@ -51,104 +57,13 @@ class _Level:
     def key(self, t):
         k = self._keys.get(t)
         if k is None:
-            c, m = t
+            c, m = self.ring.split(t)
             if self.parent is None:
                 k = (self.ring.key(m), -c)
             else:
-                pc, pm = self.leads[c]
-                k = (self.parent.key((pc, self.ring.mono_mul(pm, m))), -c)
+                k = (self.parent.key(self.ring.mono_mul(self.leads[c], m)), -c)
             self._keys[t] = k
         return k
-
-
-def _view(elems):
-    """Reducer view bucketed by lead component: comp -> [(lead mono, tail)]."""
-    buckets = {}
-    for e in elems:
-        (c, m), _ = e[0]
-        buckets.setdefault(c, []).append((m, e[1:]))
-    return buckets
-
-
-def _vnf(work, buckets, level, nbasis, index_of, want_quots):
-    """Module normal form against a monic basis.  Mutates `work`."""
-    ring = level.ring
-    fld = ring.field
-    key = level.key
-    guard = ring.guard
-    quots = [None] * nbasis if want_quots else None
-    rem = {}
-    while work:
-        t = max(work, key=key)
-        coeff = work.pop(t)
-        tc, tm = t
-        hit = False
-        for bm, tail in buckets.get(tc, ()):
-            if ((tm | guard) - bm) & guard == guard:
-                q = tm - bm
-                if want_quots:
-                    idx = index_of[(tc, bm)]
-                    qd = quots[idx]
-                    if qd is None:
-                        qd = quots[idx] = {}
-                    v = fld.add(qd.get(q, 0), coeff)
-                    if v:
-                        qd[q] = v
-                    else:
-                        qd.pop(q, None)
-                for (cc, mm), ct in tail:
-                    s = q + mm
-                    if s & guard:
-                        raise ResourceCapExceeded("monomial overflow in module reduction")
-                    u = (cc, s)
-                    v = fld.sub(work.get(u, 0), fld.mul(coeff, ct))
-                    if v:
-                        work[u] = v
-                    else:
-                        work.pop(u, None)
-                hit = True
-                break
-        if not hit:
-            rem[t] = coeff
-    return quots, rem
-
-
-def _canon_dict(d, level):
-    items = sorted(d.items(), key=lambda kv: level.key(kv[0]), reverse=True)
-    return tuple(items)
-
-
-def _index_of(elems):
-    """Map lead term -> position; leads must be distinct inside one basis."""
-    out = {}
-    for i, e in enumerate(elems):
-        lead = e[0][0]
-        if lead in out:
-            raise InternalInconsistency("duplicate lead term in module basis")
-        out[lead] = i
-    return out
-
-
-def _vinterreduce(elems, level):
-    """Minimal, monic, tail-reduced form of a module Groebner basis."""
-    ring = level.ring
-    if not elems:
-        return []
-    elems = sorted(elems, key=lambda e: level.key(e[0][0]))
-    kept = []
-    for e in elems:
-        c, m = e[0][0]
-        if any(k[0][0][0] == c and ring.mono_divides(k[0][0][1], m) for k in kept):
-            continue
-        kept.append(e)
-    out = list(kept)
-    for i in range(len(out)):
-        others = out[:i] + out[i + 1:]
-        buckets = _view(others)
-        idx = _index_of(others)
-        _, rem = _vnf(dict(out[i]), buckets, level, len(others), idx, False)
-        out[i] = _canon_dict(rem, level)
-    return out
 
 
 def _sort_basis(elems, ring):
@@ -158,7 +73,7 @@ def _sort_basis(elems, ring):
     level of the cascade.
     """
     def k(e):
-        (c, m), _ = e[0]
+        c, m = ring.split(e[0][0])
         return (c, tuple(-x for x in ring.unpack(m)))
     return sorted(elems, key=k)
 
@@ -173,56 +88,40 @@ def _syzygy_level(level, elems, caps, counter):
     ring = level.ring
     fld = ring.field
     leads = [e[0][0] for e in elems]
+    if len(set(leads)) != len(leads):
+        raise InternalInconsistency("duplicate lead term in module basis")
     nxt = _Level(ring, level, leads)
-    buckets = _view(elems)
-    idx = _index_of(elems)
-    guard = ring.guard
+    buckets = _buckets(elems, ring)
+    minus_one = fld.neg(1)
     out = []
-    bycomp = {}
-    for i, (c, _) in enumerate(leads):
-        bycomp.setdefault(c, []).append(i)
-    for c in sorted(bycomp):
-        group = bycomp[c]
+    for c in sorted(buckets):
+        group = buckets[c]
         for a in range(len(group)):
             for b in range(a + 1, len(group)):
-                i, j = group[a], group[b]
+                li, _, _, i = group[a]
+                lj, _, _, j = group[b]
                 counter[0] += 1
                 if counter[0] > caps.pair_cap:
                     raise ResourceCapExceeded(
                         f"syzygy pair count exceeds cap {caps.pair_cap}"
                     )
-                mi, mj = leads[i][1], leads[j][1]
-                L = ring.mono_lcm(mi, mj)
-                ui = L - mi
-                uj = L - mj
-                work = {}
-                for e, shift, sign in ((elems[i], ui, 1), (elems[j], uj, -1)):
-                    for (cc, mm), ct in e:
-                        s = shift + mm
-                        if s & guard:
-                            raise ResourceCapExceeded("monomial overflow in S-vector")
-                        u = (cc, s)
-                        v = ct if sign == 1 else fld.neg(ct)
-                        v = fld.add(work.get(u, 0), v)
-                        if v:
-                            work[u] = v
-                        else:
-                            work.pop(u, None)
-                quots, rem = _vnf(work, buckets, level, len(elems), idx, True)
-                if rem:
+                # mono_lcm reads only the exponent bytes of the two leads
+                L = ring.term(c, ring.mono_lcm(li, lj))
+                ui = L - li
+                uj = L - lj
+                work = _s_vector(elems[i], ui, 1, elems[j], uj, 1, ring)
+                quots = {}
+                if _reduce(work, buckets, ring, level.key, quots):
                     raise InternalInconsistency("syzygy pair left a remainder")
-                syz = {(i, ui): 1, (j, uj): fld.neg(1)}  # i != j: distinct keys
-                for t, qd in enumerate(quots):
-                    if qd:
-                        for q, cv in qd.items():
-                            u = (t, q)
-                            v = fld.sub(syz.get(u, 0), cv)
-                            if v:
-                                syz[u] = v
-                            else:
-                                syz.pop(u, None)
+                syz = {ring.term(i, ui): 1, ring.term(j, uj): minus_one}  # i != j
+                for u, cv in quots.items():
+                    v = fld.sub(syz.get(u, 0), cv)
+                    if v:
+                        syz[u] = v
+                    else:
+                        syz.pop(u, None)
                 if syz:
-                    out.append(_canon_dict(syz, nxt))
+                    out.append(_canon(syz, nxt.key))
     return nxt, out
 
 
@@ -245,11 +144,12 @@ class _Chain:
             shifts = {}
             mats = {}
             for j, elem in enumerate(columns[k]):
-                (c0, m0), _ = elem[0]
+                c0, m0 = ring.split(elem[0][0])
                 deg = self.shifts[k - 1][c0] + ring.mono_degree(m0)
                 shifts[j] = deg
                 col = {}
-                for (c, m), cf in elem:
+                for t, cf in elem:
+                    c, m = ring.split(t)
                     if self.shifts[k - 1][c] + ring.mono_degree(m) != deg:
                         raise InternalInconsistency("inhomogeneous differential entry")
                     col.setdefault(c, {})[m] = cf
@@ -325,7 +225,14 @@ class _Chain:
             self.d.pop()
 
     def check(self):
-        """d_{i-1} after d_i must vanish, and no unit entries may remain."""
+        """d_{i-1} after d_i must vanish, and no unit entries may remain.
+
+        Each column of a composite is summed as raw terms (row, monomial)
+        in one dict, which must come out empty.
+        """
+        ring = self.ring
+        fld = ring.field
+        guard = ring.guard
         for i in range(1, len(self.d)):
             for c, col in self.d[i].items():
                 for r, p in col.items():
@@ -333,16 +240,25 @@ class _Chain:
                         raise InternalInconsistency("unit entry survived minimalization")
         for i in range(2, len(self.d)):
             lower = self.d[i - 1]
-            for c, col in self.d[i].items():
+            for col in self.d[i].values():
                 acc = {}
                 for r, p in col.items():
                     for a, q in lower.get(r, {}).items():
-                        prod = q * p
-                        cur = acc.get(a)
-                        acc[a] = prod if cur is None else cur + prod
-                for a, v in acc.items():
-                    if not v.is_zero():
-                        raise InternalInconsistency("composite differential is nonzero")
+                        row = ring.term(a, 0)
+                        for mq, cq in q.terms:
+                            for mp, cp in p.terms:
+                                m = mq + mp
+                                if m & guard:
+                                    raise ResourceCapExceeded(
+                                        "monomial overflow in the differential check")
+                                t = row + m
+                                v = fld.add(acc.get(t, 0), fld.mul(cq, cp))
+                                if v:
+                                    acc[t] = v
+                                else:
+                                    del acc[t]
+                if acc:
+                    raise InternalInconsistency("composite differential is nonzero")
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +400,8 @@ def minimal_free_resolution(ideal, caps=None):
     if not gb:
         return FreeResolution(ring, [(0,)], [])
 
-    start = [tuple(((0, m), cf) for m, cf in g.terms) for g in gb]
-    columns = [None, _sort_basis(start, ring)]
+    # polynomial terms are module terms in component 0
+    columns = [None, _sort_basis([g.terms for g in gb], ring)]
     level = _Level(ring)
     cur = columns[1]
     counter = [0]
@@ -493,7 +409,7 @@ def minimal_free_resolution(ideal, caps=None):
         if len(columns) > ring.nvars + 2:
             raise InternalInconsistency("syzygy cascade failed to terminate")
         nxt, syz = _syzygy_level(level, cur, caps, counter)
-        syz = _vinterreduce(syz, nxt)
+        syz = _interreduce(syz, ring, nxt.key)
         syz = _sort_basis(syz, ring)
         if syz:
             columns.append(syz)
@@ -525,11 +441,17 @@ def minimal_free_resolution(ideal, caps=None):
         raise InternalInconsistency(
             "resolution disagrees with the Hilbert numerator"
         )
+    ideal._resolution = res
     return res
 
 
 def cohen_macaulay_defect(ideal, caps=None):
-    """dim R/I minus depth R/I; zero exactly when R/I is Cohen-Macaulay."""
-    res = minimal_free_resolution(ideal, caps)
+    """dim R/I minus depth R/I; zero exactly when R/I is Cohen-Macaulay.
+
+    Reuses the resolution cached on the ideal by an earlier call.
+    """
+    res = ideal._resolution
+    if res is None:
+        res = minimal_free_resolution(ideal, caps)
     depth = ideal.ring.nvars - res.length
     return ideal.dimension() - depth

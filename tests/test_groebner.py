@@ -1,20 +1,22 @@
-"""Tests for division, Buchberger bases, and ideal operations."""
+"""Tests for the shared reducer, Buchberger bases, and ideal operations."""
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepinv import Caps, Ideal, PolynomialRing, make_field
-from sepinv.errors import ResourceCapExceeded, RingMismatch, UnitIdeal
+from sepinv.errors import ResourceCapExceeded, UnitIdeal
 from sepinv.groebner import (
-    division,
     groebner_basis,
     interreduce,
     normal_form,
     s_polynomial,
 )
-from sepinv.poly import LEX
+from sepinv.poly import GREVLEX, LEX
+
+from .oracles import GradedQuotient, monomials, naive_from, naive_to
 
 F2 = make_field(2)
 F5 = make_field(5)
@@ -54,36 +56,33 @@ def spolys_reduce_to_zero(gb):
     )
 
 
-def test_division_reconstructs_input():
-    f = R.parse("x^3*y + x*y^2 + y + 1")
-    divisors = [R.parse("x*y - 1"), R.parse("y^2 - 1")]
-    quots, rem = division(f, divisors)
-    acc = rem
-    for q, d in zip(quots, divisors):
-        acc = acc + q * d
-    assert acc == f
-    # remainder has no monomial divisible by a leading monomial
-    leads = [d.leading_monomial() for d in divisors]
-    for m, _ in rem.terms:
-        assert not any(R.mono_divides(lead, m) for lead in leads)
+@settings(deadline=None, max_examples=60)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    order=st.sampled_from([GREVLEX, LEX]),
+    data=st.data(),
+)
+def test_normal_form_agrees_with_macaulay_matrix_oracle(p, order, data):
+    # f - nf(f) lies in the ideal by linear algebra on the generators alone,
+    # and nf(f) is reduced: together that is f = sum q_i g_i + r
+    ring = PolynomialRing(make_field(p), ("x", "y", "z"), order)
 
+    def homogeneous(degree):
+        monos = data.draw(st.lists(st.sampled_from(monomials(3, degree)),
+                                   min_size=1, max_size=4, unique=True))
+        coeffs = data.draw(st.lists(st.integers(1, p - 1), min_size=len(monos),
+                                    max_size=len(monos)))
+        return naive_to(ring, dict(zip(monos, coeffs)))
 
-def test_division_depends_on_divisor_order():
-    f = RL.parse("x^2*y + x*y^2 + y^2")
-    d1 = RL.parse("x*y - 1")
-    d2 = RL.parse("y^2 - 1")
-    _, r12 = division(f, [d1, d2])
-    _, r21 = division(f, [d2, d1])
-    assert r12 == RL.parse("x + y + 1")
-    assert r21 == RL.parse("2*x + 1")
-
-
-def test_division_rejects_zero_divisor():
-    with pytest.raises(ValueError):
-        division(R.parse("x"), [R.zero()])
-    other = PolynomialRing(F5, ("a",))
-    with pytest.raises(RingMismatch):
-        division(R.parse("x"), [other.parse("a")])
+    gens = [homogeneous(data.draw(st.integers(1, 3)))
+            for _ in range(data.draw(st.integers(1, 3)))]
+    f = homogeneous(data.draw(st.integers(1, 4)))
+    gb = groebner_basis(gens)
+    r = normal_form(f, gb)
+    quotient = GradedQuotient(3, [naive_from(g) for g in gens], p)
+    assert not any(quotient.reduce(naive_from(f - r), f.total_degree()))
+    leads = [g.leading_monomial() for g in gb]
+    assert not any(ring.mono_divides(lead, m) for m, _ in r.terms for lead in leads)
 
 
 def test_s_polynomial_cancels_leading_terms():
@@ -230,16 +229,6 @@ def test_intersect_contains_products_and_nothing_extra():
         for g in meet.gens:
             assert A.contains(g) and B.contains(g)
         assert meet.gens, "intersection of nonzero ideals is nonzero"
-
-
-def test_quotient_examples():
-    I = Ideal(R, [R.parse("x*y")])
-    assert I.quotient(R.parse("y")) == Ideal(R, [R.parse("x")])
-    J = Ideal(R, [R.parse("x^2"), R.parse("x*y")])
-    assert J.quotient(R.parse("x")) == Ideal(R, [R.parse("x"), R.parse("y")])
-    assert J.quotient(R.zero()).is_unit()
-    # (I : f) = (1) when f lies in I
-    assert I.quotient(R.parse("x*y")).is_unit()
 
 
 def test_dimension_examples():

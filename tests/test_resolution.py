@@ -12,8 +12,10 @@ from sepinv import (
     make_field,
     minimal_free_resolution,
 )
-from sepinv.errors import NonHomogeneousInput, UnitIdeal
+from sepinv import resolution
+from sepinv.errors import InternalInconsistency, NonHomogeneousInput, UnitIdeal
 from sepinv.poly import is_homogeneous
+from sepinv.resolution import _Chain
 
 from .oracles import GradedQuotient, binomial_dim, koszul_projective_dimension
 
@@ -230,3 +232,49 @@ def test_betti_table_renders():
     text = res.betti_table()
     assert "0" in text and "2" in text
     assert len(text.splitlines()) >= 3
+
+
+def koszul_chain(ring):
+    """The Koszul complex on x, y, z as a `_Chain`, from its matrices."""
+    x, y, z = (ring.var(i) for i in range(3))
+    zero = ring.zero()
+    mats = [
+        [[x, y, z]],
+        [[y, z, zero], [-x, zero, z], [zero, -x, -y]],
+        [[z], [-y], [x]],
+    ]
+    columns = [None]
+    for mat in mats:
+        columns.append([
+            tuple((ring.term(r, m), c)
+                  for r, row in enumerate(mat) for m, c in row[j].terms)
+            for j in range(len(mat[0]))
+        ])
+    return _Chain(ring, columns)
+
+
+def test_chain_check_rejects_a_nonzero_composite():
+    chain = koszul_chain(R3v)
+    chain.check()
+    # d[k] maps column id -> row id -> entry; y becomes 2y in d_2
+    chain.d[2][0][0] = chain.d[2][0][0].scale(2)
+    with pytest.raises(InternalInconsistency, match="composite"):
+        chain.check()
+
+
+def test_chain_check_rejects_a_unit_entry():
+    chain = koszul_chain(R3v)
+    chain.d[3][0][1] = R3v.one()
+    with pytest.raises(InternalInconsistency, match="unit entry"):
+        chain.check()
+
+
+def test_cohen_macaulay_defect_reuses_the_resolution(monkeypatch):
+    I = Ideal(R3v, [R3v.parse("x*y"), R3v.parse("x*z")])
+    res = minimal_free_resolution(I)
+
+    def again(ideal, caps=None):
+        raise AssertionError("the ideal was resolved twice")
+
+    monkeypatch.setattr(resolution, "minimal_free_resolution", again)
+    assert cohen_macaulay_defect(I) == I.dimension() - (3 - res.length)
