@@ -147,7 +147,7 @@ class PolynomialRing:
         return tuple(out)
 
     def term(self, c, m):
-        """The module term c-th basis vector times monomial m, packed."""
+        """The module term e_c * m (basis vector c times monomial m), packed."""
         return m | (c << self.term_shift)
 
     def split(self, t):
@@ -164,10 +164,6 @@ class PolynomialRing:
     def mono_divides(self, a, b):
         """True iff monomial a divides monomial b."""
         return ((b | self.guard) - a) & self.guard == self.guard
-
-    def mono_div(self, b, a):
-        """b / a, assuming a divides b."""
-        return b - a
 
     def mono_lcm(self, a, b):
         ea, eb = self.unpack(a), self.unpack(b)
