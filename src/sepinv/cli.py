@@ -10,6 +10,7 @@ Exit codes: 0 for success, 1 when a verification or audit is negative,
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -510,7 +511,9 @@ def _cmd_reproduce(args):
 # -- dispatch ----------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="sepinv",
         description="Separating-variety connectivity, reflection "

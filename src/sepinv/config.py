@@ -6,7 +6,8 @@ and the test-suite share one knob set:
     SEPINV_PAIR_CAP    maximum S-pairs processed in one Groebner run
     SEPINV_DEGREE_CAP  maximum total degree of any intermediate term
     SEPINV_GROUP_CAP   maximum group order during closure enumeration
-    SEPINV_ENUM_CAP    maximum field size for element enumeration
+    SEPINV_ENUM_CAP    maximum field size for element enumeration, and for
+                       the extension fields make_field builds tables for
     SEPINV_POINT_CAP   maximum q^n of the coordinate tuples in a point check,
                        checked before the scan
 

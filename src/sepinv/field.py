@@ -3,8 +3,31 @@
 Elements are carried as plain integers ("raw" form) so the hot polynomial
 loops never touch Python objects: for e == 1 the raw form is the residue in
 [0, p); for e > 1 it is the base-p digit expansion of the reduced polynomial
-in the field generator (digit i = coefficient of t^i).  The FieldElement
+in the field generator t (digit i = coefficient of t^i).  The FieldElement
 wrapper gives the raw form operator syntax for interactive use and tests.
+
+Prime fields compute with residues directly.  An extension field computes
+through discrete logarithms to a primitive element g, built once by
+`make_field`:
+
+- `exp[k]` is the raw form of g^k, stored twice over (k < 2(q-1)) so that a
+  sum of two logarithms indexes it without a reduction mod q-1, and
+  `log[a]` is the k < q-1 with g^k = a (a != 0).  Products, inverses and
+  powers are then integer arithmetic on logarithms mod q-1.
+- In characteristic 2 the raw form is a bit vector over F_2, so addition
+  is XOR and negation is the identity.
+- For odd p addition goes through Zech's logarithm, `zech[k] = log(1 + g^k)`:
+  a + b = g^la * (1 + g^(lb - la)) = g^(la + zech[lb - la]).  The one k with
+  1 + g^k = 0, namely (q-1)/2, holds the sentinel -1, and -a is
+  g^(la + (q-1)/2).
+
+The modulus need not be primitive (t has order 5 in F_16 = F_2[t]/(t^4 +
+t^3 + t^2 + t + 1)), so g is the least raw element from t upwards whose
+(q-1)/r-th power is not 1 for any prime r dividing q-1.  The tables are
+filled by q-1 multiplications by g, each the sum of two looked-up
+images under x -> x*g: of the low and of the high half of x's digits.
+They hold O(q) integers, so `make_field` refuses fields above `enum_cap`
+(SEPINV_ENUM_CAP), the same cap that bounds element enumeration.
 """
 
 from __future__ import annotations
@@ -20,8 +43,6 @@ from .errors import (
     ReducibleModulus,
 )
 
-_TABLE_LIMIT = 512  # build full mul/inv tables for extension fields up to this size
-
 
 def is_prime(n):
     if n < 2:
@@ -36,6 +57,20 @@ def is_prime(n):
             return False
         d += 2
     return True
+
+
+def _prime_factors(n):
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _poly_mod(num, den, p):
@@ -78,8 +113,8 @@ class Field:
     e: int
     modulus: tuple | None = None  # e+1 coefficients, low-degree first, monic
     gen_name: str = "t"
-    # (q, mul, inv) for tabled extension fields: q is stored so that mul
-    # need not recompute p ** e on every call
+    # (q - 1, log, exp, zech) for extension fields, zech None for p == 2;
+    # see the module docstring
     _tables: tuple = dc_field(default=None, repr=False, compare=False)
 
     @property
@@ -93,29 +128,26 @@ class Field:
     # -- raw arithmetic ------------------------------------------------------
 
     def add(self, a, b):
-        p = self.p
         if self.e == 1:
-            return (a + b) % p
-        r = 0
-        mult = 1
-        while a or b:
-            r += ((a % p + b % p) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return r
+            return (a + b) % self.p
+        if self.p == 2:
+            return a ^ b
+        if not a:
+            return b
+        if not b:
+            return a
+        _, log, exp, zech = self._tables
+        la = log[a]
+        z = zech[log[b] - la]  # a negative index wraps round mod q-1
+        return exp[la + z] if z >= 0 else 0
 
     def neg(self, a):
-        p = self.p
         if self.e == 1:
-            return (-a) % p
-        r = 0
-        mult = 1
-        while a:
-            r += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return r
+            return (-a) % self.p
+        if self.p == 2 or not a:
+            return a
+        q1, log, exp, _ = self._tables
+        return exp[log[a] + (q1 >> 1)]
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -123,36 +155,29 @@ class Field:
     def mul(self, a, b):
         if self.e == 1:
             return (a * b) % self.p
-        tables = self._tables
-        if tables is not None:
-            return tables[1][a * tables[0] + b]
-        return self._mul_slow(a, b)
+        if not a or not b:
+            return 0
+        _, log, exp, _ = self._tables
+        return exp[log[a] + log[b]]
 
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("inverse of zero")
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
-        if self._tables is not None:
-            return self._tables[2][a]
-        # a^(q-2) = a^(-1) in F_q
-        r, base, k = 1, a, self.order - 2
-        while k:
-            if k & 1:
-                r = self._mul_slow(r, base)
-            base = self._mul_slow(base, base)
-            k >>= 1
-        return r
+        q1, log, exp, _ = self._tables
+        return exp[q1 - log[a]]
 
     def pow(self, a, k):
-        r = 1
-        base = a
-        while k:
-            if k & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return r
+        """a^k; a negative k means (a^(-1))^(-k)."""
+        if k < 0:
+            return self.pow(self.inv(a), -k)
+        if self.e == 1:
+            return pow(a, k, self.p)
+        if not a:
+            return 0 if k else 1
+        q1, log, exp, _ = self._tables
+        return exp[log[a] * k % q1]
 
     def _digits(self, a):
         p = self.p
@@ -171,6 +196,7 @@ class Field:
         return r
 
     def _mul_slow(self, a, b):
+        """Schoolbook product mod the modulus; used only to build the tables."""
         p = self.p
         da, db = self._digits(a), self._digits(b)
         prod = [0] * (2 * self.e - 1)
@@ -181,6 +207,15 @@ class Field:
         rem = _poly_mod(prod, list(self.modulus), p)
         rem += [0] * (self.e - len(rem))
         return self._undigits(rem)
+
+    def _pow_slow(self, a, k):
+        r = 1
+        while k:
+            if k & 1:
+                r = self._mul_slow(r, a)
+            a = self._mul_slow(a, a)
+            k >>= 1
+        return r
 
     def from_int(self, n):
         """Reduce an integer literal into the field (image of Z -> F_{p^e})."""
@@ -301,11 +336,53 @@ def _check_irreducible(modulus, p, e):
                 )
 
 
+def _primitive_element(f):
+    """The least raw element from t upwards that generates F_q^*."""
+    q1 = f.order - 1
+    cofactors = [q1 // r for r in _prime_factors(q1)]
+    for g in range(f.p, f.order):
+        if all(f._pow_slow(g, k) != 1 for k in cofactors):
+            return g
+    raise AssertionError("F_q^* is cyclic, so some element generates it")
+
+
+def _log_tables(f):
+    """(q - 1, log, exp, zech) for the extension field f."""
+    p, q = f.p, f.order
+    q1 = q - 1
+    g = _primitive_element(f)
+    # x -> x*g is F_p-linear: with x = lo + P*hi, x*g = lo*g + (P*hi)*g
+    P = p ** (f.e // 2)
+    low = [f._mul_slow(v, g) for v in range(P)]
+    high = [f._mul_slow(v * P, g) for v in range(q // P)]
+    if p == 2:
+        plus = int.__xor__
+    else:
+        def plus(a, b):
+            return f._undigits([x + y for x, y in zip(f._digits(a), f._digits(b))])
+    log = [0] * q
+    exp = [0] * (2 * q1)
+    x = 1
+    for k in range(q1):
+        exp[k] = exp[k + q1] = x
+        log[x] = k
+        x = plus(low[x % P], high[x // P])
+    if p == 2:
+        return q1, log, exp, None
+    zech = []
+    for x in exp[:q1]:
+        y = x + 1 if x % p != p - 1 else x - (p - 1)  # 1 + x, digit 0 mod p
+        zech.append(log[y] if y else -1)
+    return q1, log, exp, zech
+
+
 def make_field(p, e=1, modulus=None, gen_name="t"):
     """Build a validated finite field F_{p^e}.
 
     `modulus` is a coefficient list, low-degree first, required iff e > 1;
-    it must be monic of degree e and irreducible over F_p.
+    it must be monic of degree e and irreducible over F_p.  An extension
+    field of more than enum_cap (SEPINV_ENUM_CAP) elements is refused:
+    its log tables grow with its order.
     """
     if not is_prime(p):
         raise NonPrimeCharacteristic(f"{p} is not prime")
@@ -320,24 +397,15 @@ def make_field(p, e=1, modulus=None, gen_name="t"):
     modulus = tuple(c % p for c in modulus)
     if len(modulus) != e + 1 or modulus[-1] != 1:
         raise ReducibleModulus(f"modulus must be monic of degree {e}")
+    cap = config.from_env().enum_cap
+    if p ** e > cap:
+        raise EnumerationCapExceeded(
+            f"make_field: field has {p ** e} elements, exceeding enum_cap "
+            f"{cap} (SEPINV_ENUM_CAP)"
+        )
     _check_irreducible(modulus, p, e)
     f = Field(p, e, modulus, gen_name)
-    if f.order <= _TABLE_LIMIT:
-        q = f.order
-        mul_table = [0] * (q * q)
-        for a in range(q):
-            for b in range(a, q):
-                v = f._mul_slow(a, b)
-                mul_table[a * q + b] = v
-                mul_table[b * q + a] = v
-        inv_table = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if mul_table[a * q + b] == 1:
-                    inv_table[a] = b
-                    break
-        f = Field(p, e, modulus, gen_name, (q, mul_table, inv_table))
-    return f
+    return Field(p, e, modulus, gen_name, _log_tables(f))
 
 
 def enumerate_elements(f, cap=None):

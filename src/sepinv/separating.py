@@ -104,20 +104,25 @@ def verify_separating_points(candidate, group, variety, field=None, caps=None):
     The candidate passes when all rational points of the variety with
     the same candidate values lie in one group orbit.  One pass over the
     points remembers the first point with each value tuple; every later
-    point with those values must be its image under some group element,
-    and the first that is not decides the verdict.
+    point with those values must lie in its orbit, and the first that
+    does not decides the verdict.  A class's orbit is computed once, when
+    the class gets its second member.
     """
     _check_invariance(candidate, group)
     fld = field or variety.ring.field
     points = variety_points(variety, fld, caps or variety.caps)
     evaluators = [g.evaluator(fld) for g in candidate.polynomials]
     first = {}
+    orbits = {}
     for pt in points:
         values = tuple(f(pt) for f in evaluators)
         rep = first.setdefault(values, pt)
-        if rep is not pt and not any(
-            s.apply_point(rep, fld) == pt for s in group
-        ):
+        if rep is pt:
+            continue
+        orb = orbits.get(values)
+        if orb is None:
+            orb = orbits[values] = {s.apply_point(rep, fld) for s in group}
+        if pt not in orb:
             return False
     return True
 

@@ -1,7 +1,7 @@
 """Tests for prime and extension field arithmetic."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sepinv import make_field
 from sepinv.errors import (
@@ -12,6 +12,8 @@ from sepinv.errors import (
     ReducibleModulus,
 )
 from sepinv.field import enumerate_elements, is_prime
+
+from .oracles import naive_field_ops
 
 F2 = make_field(2)
 F5 = make_field(5)
@@ -172,3 +174,82 @@ def test_f9_inverse_solves_linear_equations(a, b, c):
     # solve a*x + b = c for x and substitute back
     x = F9.mul(F9.inv(a), F9.sub(c, b))
     assert F9.add(F9.mul(a, x), b) == c
+
+
+def test_negative_power_is_a_power_of_the_inverse():
+    # a^(-k) = (a^(-1))^k, and a negative exponent must terminate
+    assert F5.pow(2, -1) == 3
+    assert F5.pow(2, -3) == F5.pow(3, 3)
+    t = F9.generator()
+    assert t ** -1 == t.inverse()
+    assert (t ** -5) * (t ** 5) == F9.one()
+    for field in (F5, F9):
+        with pytest.raises(DivisionByZero):
+            field.pow(0, -1)
+
+
+# Extension fields compute through log tables to a primitive element, which
+# the modulus need not supply: t has order 4 in F_9 = F_3[t]/(t^2 + 1), order
+# 5 under t^4 + t^3 + t^2 + t + 1, and is not primitive for the moduli that
+# `verify --points` picks for F_25 (t^2 + 2) and F_4096 (t^12 + t^3 + 1).
+DIFFERENTIAL_FIELDS = [
+    F4,
+    F8,
+    F9,
+    make_field(2, 4, [1, 1, 1, 1, 1]),
+    make_field(5, 2, [2, 0, 1]),
+    make_field(3, 5, [1, 2, 0, 0, 0, 1]),
+    make_field(2, 9, [1, 1, 0, 0, 0, 0, 0, 0, 0, 1]),
+    make_field(2, 12, [1, 0, 0, 1] + [0] * 8 + [1]),
+]
+
+
+@pytest.mark.parametrize("field", DIFFERENTIAL_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_extension_arithmetic_agrees_with_digit_oracle(field, data):
+    add, mul = naive_field_ops(field)
+    q = field.order
+    a = data.draw(st.integers(0, q - 1), label="a")
+    b = data.draw(st.integers(0, q - 1), label="b")
+    k = data.draw(st.integers(-2 * q, 2 * q), label="k")
+    assert field.add(a, b) == add(a, b)
+    assert field.mul(a, b) == mul(a, b)
+    assert add(field.neg(a), a) == 0
+    assert add(field.sub(a, b), b) == a
+
+    def naive_pow(x, n):
+        r = 1
+        while n:
+            if n & 1:
+                r = mul(r, x)
+            x = mul(x, x)
+            n >>= 1
+        return r
+
+    if a == 0:
+        with pytest.raises(DivisionByZero):
+            field.inv(a)
+        if k < 0:
+            with pytest.raises(DivisionByZero):
+                field.pow(a, k)
+        else:
+            assert field.pow(a, k) == naive_pow(a, k)
+        return
+    assert mul(a, field.inv(a)) == 1
+    if k < 0:
+        assert mul(field.pow(a, k), naive_pow(a, -k)) == 1
+    else:
+        assert field.pow(a, k) == naive_pow(a, k)
+
+
+def test_make_field_refuses_fields_above_enum_cap(monkeypatch):
+    # the cap is checked before the modulus is tested for irreducibility
+    with pytest.raises(EnumerationCapExceeded,
+                       match=r"make_field: field has 131072 elements, "
+                             r"exceeding enum_cap 65536 \(SEPINV_ENUM_CAP\)"):
+        make_field(2, 17, [1, 0, 0, 1] + [0] * 13 + [1])
+    monkeypatch.setenv("SEPINV_ENUM_CAP", "8")
+    assert make_field(2, 3, [1, 1, 0, 1]) == F8
+    with pytest.raises(EnumerationCapExceeded, match="make_field: .* 16 "):
+        make_field(2, 4, [1, 1, 0, 0, 1])

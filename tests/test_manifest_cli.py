@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from sepinv import bundled
-from sepinv.cli import bundled_manifest_names, main
+from sepinv.cli import _build_parser, bundled_manifest_names, main
 from sepinv.errors import ManifestError
 from sepinv.manifest import Manifest
 
@@ -179,6 +179,11 @@ def test_cli_json_is_deterministic(capsys):
     doc = json.loads(first)
     assert doc["results"]["count"] == 4
     assert doc["results"]["graphs_considered"] == 4
+    # successive calls share one parser and still print identical bytes
+    verify = ["--json", "verify", "-m", "id10253", "--set", "main",
+              "--points", "8"]
+    assert run_cli(capsys, verify) == run_cli(capsys, verify)
+    assert _build_parser() is _build_parser()
 
 
 def test_cli_connectivity(capsys):
@@ -313,6 +318,22 @@ def test_cli_resource_cap_exit_code():
     )
     assert proc.returncode == 3
     assert "resource cap" in proc.stdout + proc.stderr
+
+
+def test_cli_points_field_above_enum_cap_exits_3():
+    env = dict(os.environ, SEPINV_ENUM_CAP="8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "sepinv", "verify", "-m", "id10253",
+         "--set", "main", "--points", "16"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.splitlines() == [
+        "resource cap: make_field: field has 16 elements, exceeding "
+        "enum_cap 8 (SEPINV_ENUM_CAP)"
+    ]
 
 
 def test_cli_malformed_cap_variable_is_an_input_error():
