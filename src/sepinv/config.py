@@ -3,7 +3,8 @@
 Every cap can be overridden through an environment variable so that the CLI
 and the test-suite share one knob set:
 
-    SEPINV_PAIR_CAP    maximum S-pairs processed in one Groebner run
+    SEPINV_PAIR_CAP    maximum S-pairs processed in one Groebner run, and
+                       syzygy pairs formed in one free resolution
     SEPINV_DEGREE_CAP  maximum total degree of any intermediate term
     SEPINV_GROUP_CAP   maximum group order during closure enumeration
     SEPINV_ENUM_CAP    maximum field size for element enumeration, and for

@@ -1,12 +1,16 @@
 """Groebner bases, ideals, and the one reducer they share.
 
 Every reduction in sepinv, of a polynomial or of an element of a free
-module, runs through `_reduce`: terms are packed ints (see `poly`), the
-leading term is picked by a key function (the ring order for polynomials,
-an induced module order in `resolution`), and reducers are bucketed by
-component, so divisibility is one masked subtraction inside a bucket.  The
-same holds for `_interreduce`, which makes a basis reduced, and for
-`_s_vector`, which builds an S-polynomial or S-vector.
+module, runs through `_reduce`: terms are packed ints (see `poly`), and a
+key function maps each term to an int (the ring order for polynomials, an
+induced module order in `resolution`).  Terms wait in a heap on their keys,
+so each step pops its leading term instead of rescanning the work; a term
+cancelled while it waits is skipped when popped, and since every new term
+lies below the lead being cancelled, no popped term comes back and the
+remainder comes out already in decreasing order.  Reducers are bucketed by
+component, so divisibility is one masked subtraction inside a bucket.
+`_interreduce`, which makes a basis reduced, reduces through it too, and
+`_s_vector` builds an S-polynomial or S-vector for either kind of term.
 
 Buchberger's algorithm uses the normal selection strategy (smallest lcm
 degree first), the product criterion, and the chain criterion.  The basis
@@ -46,17 +50,28 @@ def _buckets(elems, ring):
 def _reduce(work, buckets, ring, key, quots):
     """Remainder of the term dict `work` (consumed) on bucketed reducers.
 
-    The leading term under `key` is cancelled by the first reducer in its
-    component's bucket whose lead divides it.  Unless `quots` is None, each
-    multiplier q of reducer i is added to that dict as the term (i, q).
+    Terms wait in a heap of (-key, term), so the leading term under `key`
+    is the heap's top.  It is cancelled by the first reducer in its
+    component's bucket whose lead divides it.  A term is pushed only when it
+    first enters `work`; one cancelled later stays in `work` with
+    coefficient 0 and is skipped when popped.  Every term a step adds lies
+    below the lead it cancels, hence below every term popped so far, so a
+    popped term never comes back and the remainder fills in decreasing key
+    order.  Unless `quots` is None, each multiplier q of reducer i is added
+    to that dict as the term (i, q).
     """
     fld = ring.field
     guard = ring.guard
     shift = ring.term_shift
+    heap = [(-key(t), t) for t in work]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     rem = {}
-    while work:
-        t = max(work, key=key)
+    while heap:
+        t = pop(heap)[1]
         c = work.pop(t)
+        if not c:
+            continue
         for lead, inv_lc, tail, index in buckets.get(t >> shift, ()):
             if ((t | guard) - lead) & guard == guard:
                 q = t - lead
@@ -72,20 +87,15 @@ def _reduce(work, buckets, ring, key, quots):
                     s = q + mt
                     if s & guard:
                         raise ResourceCapExceeded("monomial overflow in reduction")
-                    v = fld.sub(work.get(s, 0), fld.mul(factor, ct))
-                    if v:
-                        work[s] = v
-                    else:
-                        work.pop(s, None)
+                    old = work.get(s)
+                    if old is None:
+                        old = 0
+                        push(heap, (-key(s), s))
+                    work[s] = fld.sub(old, fld.mul(factor, ct))
                 break
         else:
             rem[t] = c
     return rem
-
-
-def _canon(work, key):
-    """A term dict as a term tuple in decreasing `key` order."""
-    return tuple(sorted(work.items(), key=lambda tc: key(tc[0]), reverse=True))
 
 
 def _s_vector(f, u, cf, g, v, cg, ring):
@@ -125,7 +135,7 @@ def _interreduce(elems, ring, key):
             continue  # not minimal
         inv = fld.inv(lc)
         rem = _reduce(dict(e[1:]), buckets, ring, key, None)
-        tail = tuple((t, fld.mul(c, inv)) for t, c in _canon(rem, key))
+        tail = tuple((t, fld.mul(c, inv)) for t, c in rem.items())
         bucket.append((lead, 1, tail, len(out)))
         out.append(((lead, 1),) + tail)
     return out
@@ -137,7 +147,8 @@ def normal_form(f, divisors):
         divisors = divisors.groebner_basis()
     ring = f.ring
     buckets = _buckets([g.terms for g in divisors], ring)
-    return ring.from_dict(_reduce(dict(f.terms), buckets, ring, ring.key, None))
+    rem = _reduce(dict(f.terms), buckets, ring, ring.key, None)
+    return Polynomial(ring, tuple(rem.items()))
 
 
 def s_polynomial(f, g):
@@ -185,7 +196,8 @@ def groebner_basis(gens, caps=None):
         lm = terms[0][0]
         if ring.mono_degree(lm) > degree_cap:
             raise ResourceCapExceeded(
-                f"leading degree {ring.mono_degree(lm)} exceeds cap {degree_cap}"
+                f"groebner_basis: leading degree {ring.mono_degree(lm)} "
+                f"exceeds degree_cap {degree_cap} (SEPINV_DEGREE_CAP)"
             )
         basis.append(terms)
         lms.append(lm)
@@ -218,11 +230,15 @@ def groebner_basis(gens, caps=None):
         done.add((i, j))
         if deg > degree_cap:
             raise ResourceCapExceeded(
-                f"S-pair degree {deg} exceeds cap {degree_cap}"
+                f"groebner_basis: S-pair degree {deg} exceeds degree_cap "
+                f"{degree_cap} (SEPINV_DEGREE_CAP)"
             )
         processed += 1
         if processed > pair_cap:
-            raise ResourceCapExceeded(f"pair count exceeds cap {pair_cap}")
+            raise ResourceCapExceeded(
+                f"groebner_basis: {processed} S-pairs exceed pair_cap "
+                f"{pair_cap} (SEPINV_PAIR_CAP)"
+            )
 
         # chain criterion: an intermediate basis element whose two pairs
         # are already treated makes this pair redundant
@@ -245,7 +261,7 @@ def groebner_basis(gens, caps=None):
         rem = _reduce(work, buckets, ring, key, None)
         if not rem:
             continue
-        t = push(_canon(rem, key))
+        t = push(tuple(rem.items()))
         for i2 in range(t):
             consider(i2, t)
 
@@ -334,8 +350,8 @@ class Ideal:
         """f vanishes on the zero locus: some power of f lies in the ideal."""
         if f.ring != self.ring:
             raise RingMismatch("polynomial outside the ideal's ring")
-        if f.is_zero():
-            return True
+        if f.is_zero() or self.contains(f):
+            return True  # I lies in its radical
         ring = self.ring
         tname = _fresh_name(ring.variables, "_t")
         ext = PolynomialRing(ring.field, ring.variables + (tname,), GREVLEX)

@@ -85,7 +85,8 @@ def enumerate_group(generators, caps=None):
                     continue
                 if len(elements) >= caps.group_cap:
                     raise GroupCapExceeded(
-                        f"group order exceeds cap {caps.group_cap}"
+                        f"enumerate_group: {len(elements) + 1} elements "
+                        f"exceed group_cap {caps.group_cap} (SEPINV_GROUP_CAP)"
                     )
                 seen.add(b)
                 elements.append(b)

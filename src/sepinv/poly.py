@@ -16,6 +16,10 @@ overflowing byte sets its own guard bit, which every add checks, before it
 could carry.  Hence `t - lead` is the monomial quotient whenever lead
 divides t in the same component.
 
+A monomial order maps a packed monomial to an int key (`PolynomialRing.key`)
+that orders monomials as the order does, so comparing two monomials is one
+int comparison and a reducer can keep its terms in a heap.
+
 Polynomials are immutable: a tuple of (packed monomial, raw coefficient)
 pairs, strictly decreasing in the ring's monomial order, no zeros.  All
 arithmetic routes through dicts internally and re-canonicalizes on exit.
@@ -42,15 +46,42 @@ _W = 8  # bits per exponent
 
 @dataclass(frozen=True)
 class Lex:
+    """Lexicographic order, x_1 > x_2 > ... > x_n.
+
+    The key of a packed monomial is an int: its exponent bytes in reverse
+    order, so x_1's exponent is the most significant byte.
+    """
+
+    def width(self, nvars):
+        """Bits of the largest key on `nvars` variables."""
+        return _W * nvars
+
     def keyfn(self, nvars):
-        return lambda exps: exps
+        def key(m):
+            return int.from_bytes(m.to_bytes(nvars, "little"), "big")
+        return key
 
 
 @dataclass(frozen=True)
 class GRevLex:
+    """Graded reverse lexicographic order.
+
+    The key of a packed monomial m is the int `(deg << 8n) | (top - m)`,
+    where top has all 8n bits set: the total degree decides, and among
+    monomials of one degree the smaller exponent of the last variable wins,
+    then of the one before it, because `top - m` complements every byte.
+    """
+
+    def width(self, nvars):
+        # the degree field holds at most nvars bytes of 255
+        return _W * nvars + (255 * nvars).bit_length()
+
     def keyfn(self, nvars):
-        def key(exps):
-            return (sum(exps), tuple(-e for e in reversed(exps)))
+        shift = _W * nvars
+        top = (1 << shift) - 1
+
+        def key(m):
+            return (sum(m.to_bytes(nvars, "little")) << shift) | (top - m)
         return key
 
 
@@ -59,18 +90,24 @@ class Block:
     """Compare the first `split` exponents under `first`, then the rest.
 
     With a graded order in the first block this is an elimination order for
-    the first `split` variables.
+    the first `split` variables.  The key is an int: the first block's key
+    shifted above the widest key the second block can have.
     """
 
     split: int
     first: object
     second: object
 
+    def width(self, nvars):
+        return self.first.width(self.split) + self.second.width(nvars - self.split)
+
     def keyfn(self, nvars):
         k1 = self.first.keyfn(self.split)
         k2 = self.second.keyfn(nvars - self.split)
-        s = self.split
-        return lambda exps: (k1(exps[:s]), k2(exps[s:]))
+        shift = self.second.width(nvars - self.split)
+        low = _W * self.split
+        mask = (1 << low) - 1
+        return lambda m: (k1(m & mask) << shift) | k2(m >> low)
 
 
 GREVLEX = GRevLex()
@@ -166,20 +203,29 @@ class PolynomialRing:
         return ((b | self.guard) - a) & self.guard == self.guard
 
     def mono_lcm(self, a, b):
-        ea, eb = self.unpack(a), self.unpack(b)
-        return self.pack(tuple(max(x, y) for x, y in zip(ea, eb)))
+        """Least common multiple of monomials a and b: per-byte maximum.
+
+        `(a | guard) - b` keeps byte i's guard bit exactly when a_i >= b_i,
+        and no borrow crosses a byte because every exponent is below 128.
+        Each kept guard bit less its own low bit masks a byte taken from a.
+        For two terms of one component the component bits come from b, so
+        the result is their lcm in that component.
+        """
+        g = ((a | self.guard) - b) & self.guard
+        return b ^ ((a ^ b) & (g - (g >> 7)))
 
     def mono_degree(self, m):
         d = self._degs.get(m)
         if d is None:
-            d = sum(self.unpack(m))
+            d = sum(m.to_bytes(self.nvars, "little"))
             self._degs[m] = d
         return d
 
     def key(self, m):
+        """The order's int key of monomial m; larger keys are larger."""
         k = self._keys.get(m)
         if k is None:
-            k = self._rawkey(self.unpack(m))
+            k = self._rawkey(m)
             self._keys[m] = k
         return k
 

@@ -29,7 +29,7 @@ from .errors import (
     ResourceCapExceeded,
     UnitIdeal,
 )
-from .groebner import _buckets, _canon, _interreduce, _reduce, _s_vector
+from .groebner import _buckets, _interreduce, _reduce, _s_vector
 from .poly import is_homogeneous
 
 
@@ -40,18 +40,23 @@ from .poly import is_homogeneous
 class _Level:
     """Key machinery for one free module in the cascade.
 
-    Terms are packed module terms (`PolynomialRing.term`).  The base level
-    (parent None) compares by the ring order with smaller component winning
-    ties; an induced level compares images under its basis leads in the
-    parent, again breaking ties toward the smaller component.
+    Terms are packed module terms (`PolynomialRing.term`) and keys are ints.
+    The base level (parent None) has the one component 0 and keys a term by
+    the ring order.  An induced level keys e_c * m by the parent key of its
+    image lead_c * m, then breaks ties toward the smaller component: the key
+    is `(parent key << w) | (top - c)` with top = 2^w - 1, where w is the
+    bit length of the component count, so top - c never reaches the parent
+    key's bits.
     """
 
-    __slots__ = ("ring", "parent", "leads", "_keys")
+    __slots__ = ("ring", "parent", "leads", "width", "top", "_keys")
 
     def __init__(self, ring, parent=None, leads=None):
         self.ring = ring
         self.parent = parent
         self.leads = leads
+        self.width = (1 if leads is None else len(leads)).bit_length()
+        self.top = (1 << self.width) - 1
         self._keys = {}
 
     def key(self, t):
@@ -59,11 +64,17 @@ class _Level:
         if k is None:
             c, m = self.ring.split(t)
             if self.parent is None:
-                k = (self.ring.key(m), -c)
+                k = self.ring.key(m)
             else:
-                k = (self.parent.key(self.ring.mono_mul(self.leads[c], m)), -c)
+                k = self.parent.key(self.ring.mono_mul(self.leads[c], m))
+            k = (k << self.width) | (self.top - c)
             self._keys[t] = k
         return k
+
+
+def _canon(work, key):
+    """A term dict as a term tuple in decreasing `key` order."""
+    return tuple(sorted(work.items(), key=lambda tc: key(tc[0]), reverse=True))
 
 
 def _sort_basis(elems, ring):
@@ -103,10 +114,11 @@ def _syzygy_level(level, elems, caps, counter):
                 counter[0] += 1
                 if counter[0] > caps.pair_cap:
                     raise ResourceCapExceeded(
-                        f"syzygy pair count exceeds cap {caps.pair_cap}"
+                        f"minimal_free_resolution: {counter[0]} syzygy pairs "
+                        f"exceed pair_cap {caps.pair_cap} (SEPINV_PAIR_CAP)"
                     )
-                # mono_lcm reads only the exponent bytes of the two leads
-                L = ring.term(c, ring.mono_lcm(li, lj))
+                # both leads lie in component c, and so does their lcm
+                L = ring.mono_lcm(li, lj)
                 ui = L - li
                 uj = L - lj
                 work = _s_vector(elems[i], ui, 1, elems[j], uj, 1, ring)

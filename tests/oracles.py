@@ -54,6 +54,24 @@ def naive_pow(a, k, p, nvars):
     return out
 
 
+# -- monomial orders as tuple keys --------------------------------------------
+
+
+def lex_key(exps):
+    """Lexicographic order on exponent tuples: x_1 decides first."""
+    return tuple(exps)
+
+
+def grevlex_key(exps):
+    """Graded reverse lex: total degree, then the smaller last exponent."""
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def block_key(split, first, second):
+    """Block order: `first` on the first `split` exponents, then `second`."""
+    return lambda exps: (first(exps[:split]), second(exps[split:]))
+
+
 # -- dense linear algebra over F_p --------------------------------------------
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sepinv import Caps, Ideal, PolynomialRing, make_field
+from sepinv import groebner
 from sepinv.errors import ResourceCapExceeded, UnitIdeal
 from sepinv.groebner import (
     groebner_basis,
@@ -14,7 +15,7 @@ from sepinv.groebner import (
     normal_form,
     s_polynomial,
 )
-from sepinv.poly import GREVLEX, LEX
+from sepinv.poly import GREVLEX, LEX, Block
 
 from .oracles import GradedQuotient, monomials, naive_from, naive_to
 
@@ -59,7 +60,7 @@ def spolys_reduce_to_zero(gb):
 @settings(deadline=None, max_examples=60)
 @given(
     p=st.sampled_from([2, 3, 5]),
-    order=st.sampled_from([GREVLEX, LEX]),
+    order=st.sampled_from([GREVLEX, LEX, Block(1, GREVLEX, GREVLEX)]),
     data=st.data(),
 )
 def test_normal_form_agrees_with_macaulay_matrix_oracle(p, order, data):
@@ -83,6 +84,10 @@ def test_normal_form_agrees_with_macaulay_matrix_oracle(p, order, data):
     assert not any(quotient.reduce(naive_from(f - r), f.total_degree()))
     leads = [g.leading_monomial() for g in gb]
     assert not any(ring.mono_divides(lead, m) for m, _ in r.terms for lead in leads)
+    # the reducer emits terms in decreasing order; nothing re-sorts them
+    for h in gb + [r]:
+        keys = [ring.key(m) for m, _ in h.terms]
+        assert all(a > b for a, b in zip(keys, keys[1:]))
 
 
 def test_s_polynomial_cancels_leading_terms():
@@ -185,6 +190,24 @@ def test_radical_membership():
     assert Ideal(R, []).radical_contains(R.zero())
 
 
+def test_radical_membership_answers_members_of_the_ideal_directly(monkeypatch):
+    I = Ideal(R, [R.parse("x^2"), R.parse("y^3*z")])
+    I.groebner_basis()
+    rings = []
+    real = groebner.groebner_basis
+
+    def spy(gens, caps=None):
+        rings.append(gens[0].ring)
+        return real(gens, caps)
+
+    monkeypatch.setattr(groebner, "groebner_basis", spy)
+    assert I.radical_contains(R.parse("x^2*y + y^3*z"))
+    assert rings == []  # no basis on the ring with the extra variable
+    assert Ideal(R, [R.parse("x^2")]).radical_contains(R.parse("x"))
+    assert not Ideal(R, [R.parse("x^2")]).radical_contains(R.parse("y"))
+    assert [r.nvars for r in rings].count(R.nvars + 1) == 2
+
+
 def test_radical_subset_of():
     square = Ideal(R, [R.parse("x^2"), R.parse("y^2")])
     plain = Ideal(R, [R.parse("x"), R.parse("y")])
@@ -253,10 +276,24 @@ def test_dimension_via_leading_terms_matches_product_structure():
 
 def test_groebner_caps_trigger():
     gens = [RL.parse("x^2 - y"), RL.parse("x^3 - z")]
-    with pytest.raises(ResourceCapExceeded):
+    with pytest.raises(
+        ResourceCapExceeded,
+        match=r"^groebner_basis: 2 S-pairs exceed pair_cap 1 \(SEPINV_PAIR_CAP\)$",
+    ):
         groebner_basis(gens, Caps(pair_cap=1))
-    with pytest.raises(ResourceCapExceeded):
+    with pytest.raises(
+        ResourceCapExceeded,
+        match=r"^groebner_basis: leading degree 3 exceeds degree_cap 2 "
+              r"\(SEPINV_DEGREE_CAP\)$",
+    ):
         groebner_basis(gens, Caps(degree_cap=2))
+    # leads of degree 2 whose S-pair has degree 3
+    with pytest.raises(
+        ResourceCapExceeded,
+        match=r"^groebner_basis: S-pair degree 3 exceeds degree_cap 2 "
+              r"\(SEPINV_DEGREE_CAP\)$",
+    ):
+        groebner_basis([R.parse("x*y + z^2"), R.parse("x*z")], Caps(degree_cap=2))
     # generous caps leave the answer unchanged
     assert groebner_basis(gens, Caps(pair_cap=10_000)) == groebner_basis(gens)
 

@@ -95,7 +95,10 @@ def test_translation_group_and_cap():
     step = AffineMap(F5, [[1]], translation=[1])
     G = enumerate_group([step])
     assert G.order == 5
-    with pytest.raises(GroupCapExceeded):
+    with pytest.raises(
+        GroupCapExceeded,
+        match=r"^enumerate_group: 4 elements exceed group_cap 3 \(SEPINV_GROUP_CAP\)$",
+    ):
         enumerate_group([step], Caps(group_cap=3))
     with pytest.raises(ValueError):
         enumerate_group([])

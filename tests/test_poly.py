@@ -13,9 +13,18 @@ from sepinv.errors import (
     RingMismatch,
     UnknownVariable,
 )
-from sepinv.poly import GREVLEX, LEX, is_homogeneous
+from sepinv.poly import GREVLEX, LEX, Block, is_homogeneous
 
-from .oracles import naive_add, naive_from, naive_mul, naive_pow, naive_to
+from .oracles import (
+    block_key,
+    grevlex_key,
+    lex_key,
+    naive_add,
+    naive_from,
+    naive_mul,
+    naive_pow,
+    naive_to,
+)
 
 F2 = make_field(2)
 F5 = make_field(5)
@@ -196,6 +205,30 @@ def test_as_pairs_is_order_descending():
     keys = [R5.key(R5.pack(e)) for e, _ in pairs]
     assert keys == sorted(keys, reverse=True)
     assert all(0 < c < 5 for _, c in pairs)
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_order_keys_and_lcm_agree_with_tuple_oracle(data):
+    n = data.draw(st.integers(1, 5))
+    kind = data.draw(st.sampled_from(["grevlex", "lex", "block"]))
+    if kind == "grevlex":
+        order, oracle = GREVLEX, grevlex_key
+    elif kind == "lex":
+        order, oracle = LEX, lex_key
+    else:
+        k = data.draw(st.integers(0, n))
+        order, oracle = Block(k, GREVLEX, GREVLEX), block_key(k, grevlex_key, grevlex_key)
+    ring = PolynomialRing(F5, tuple(f"x{i}" for i in range(n)), order)
+    exponent = st.one_of(st.sampled_from([0, 127]), st.integers(0, 127))
+    exps = st.lists(exponent, min_size=n, max_size=n).map(tuple)
+    a, b = data.draw(exps), data.draw(exps)
+    ka, kb = ring.key(ring.pack(a)), ring.key(ring.pack(b))
+    assert isinstance(ka, int)
+    assert (ka < kb) == (oracle(a) < oracle(b))
+    assert (ka == kb) == (a == b)
+    lcm = ring.mono_lcm(ring.pack(a), ring.pack(b))
+    assert ring.unpack(lcm) == tuple(max(x, y) for x, y in zip(a, b))
 
 
 def test_evaluate_prime_field():

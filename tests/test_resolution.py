@@ -5,6 +5,7 @@ import random
 import pytest
 
 from sepinv import (
+    Caps,
     Ideal,
     PolynomialRing,
     cohen_macaulay_defect,
@@ -13,9 +14,14 @@ from sepinv import (
     minimal_free_resolution,
 )
 from sepinv import resolution
-from sepinv.errors import InternalInconsistency, NonHomogeneousInput, UnitIdeal
+from sepinv.errors import (
+    InternalInconsistency,
+    NonHomogeneousInput,
+    ResourceCapExceeded,
+    UnitIdeal,
+)
 from sepinv.poly import is_homogeneous
-from sepinv.resolution import _Chain
+from sepinv.resolution import _Chain, _Level
 
 from .oracles import GradedQuotient, binomial_dim, koszul_projective_dimension
 
@@ -278,3 +284,34 @@ def test_cohen_macaulay_defect_reuses_the_resolution(monkeypatch):
 
     monkeypatch.setattr(resolution, "minimal_free_resolution", again)
     assert cohen_macaulay_defect(I) == I.dimension() - (3 - res.length)
+
+
+def test_level_key_compares_images_then_prefers_the_smaller_component():
+    ring = R3v
+    x, y, z = (ring.pack(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    level = _Level(ring, _Level(ring), [x, y])
+    # e_0*y and e_1*x have the same image x*y: component 0 wins
+    assert level.key(ring.term(0, y)) > level.key(ring.term(1, x))
+    # a larger image wins whatever the component: x^2*y > x*y^2
+    assert level.key(ring.term(1, ring.pack((2, 0, 0)))) > level.key(
+        ring.term(0, ring.pack((0, 2, 0))))
+    # one level down, e_0*z and e_1*z map to e_0*y*z and e_1*x*z, whose
+    # images tie at x*y*z: the tie-break of the level above decides
+    nxt = _Level(ring, level, [ring.term(0, y), ring.term(1, x)])
+    assert nxt.key(ring.term(0, z)) > nxt.key(ring.term(1, z))
+    # five components need a three-bit component field
+    wide = _Level(ring, _Level(ring), [x, y, z, x, y])
+    ranked = sorted(range(5), key=lambda c: wide.key(ring.term(c, 0)), reverse=True)
+    assert ranked == [0, 3, 1, 4, 2]
+
+
+def test_resolution_pair_cap_counts_every_level():
+    I = Ideal(R3v, [R3v.parse("x"), R3v.parse("y"), R3v.parse("z")])
+    # three syzygy pairs on the first level, a fourth on the second
+    with pytest.raises(
+        ResourceCapExceeded,
+        match=r"^minimal_free_resolution: 4 syzygy pairs exceed pair_cap 3 "
+              r"\(SEPINV_PAIR_CAP\)$",
+    ):
+        minimal_free_resolution(I, Caps(pair_cap=3))
+    assert minimal_free_resolution(I, Caps(pair_cap=4)).betti_numbers() == [1, 3, 3, 1]
