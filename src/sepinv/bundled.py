@@ -1,184 +1,44 @@
 """The worked models that ship with the package.
 
-Three small group actions exercise every layer of the library: a rank-four
-unipotent action over F_2 whose invariant ring has a known presentation, the
-additive translation action of F_p on a line, and an order-two swap of two
-planes in four-space.  Each builder returns a ready-to-run model together
-with named invariants, candidate separating sets, and named ideals in the
-doubled ring, so the command line and the tests can refer to the pieces by
-name.
+Each bundled model is one JSON manifest under `data/manifests/`, and that
+file is its only description: `sepinv reproduce NAME`, `-m NAME` on every
+other subcommand, and the tests all build it through `load`.  Five ship:
+
+- `id10253`, a rank-four unipotent action over F_2 whose invariant ring has
+  a known presentation; its relations are declared in the manifest;
+- `additive-2`, `additive-3` and `additive-5`, the translation action of
+  F_p on a line, which no reflection bound covers;
+- `two-planes`, an order-two swap of two planes in four-space, whose union
+  is not Cohen-Macaulay.
+
+Each model's expected values live beside it under `data/expected/`.
 """
 
-from .field import make_field
-from .groebner import Ideal
-from .group import VarietyPresentation, enumerate_group
-from .poly import GREVLEX, AffineMap, PolynomialRing
-from .separating import SeparatingCandidate
-from .sepvar import SepVarietyModel
+import json
+from importlib import resources
 
-BUNDLED_NAMES = ("id10253", "additive-p", "two-planes")
+from .errors import ManifestError
+from .manifest import Manifest
 
 
-class BundledModel:
-    """A named model with its invariants, candidates, and extra ideals.
-
-    `invariants` maps names to polynomials in the base ring, `candidates`
-    maps names to SeparatingCandidate objects, and `ideals` maps names to
-    ideals of the doubled ring whose defects are worth computing.
-    """
-
-    __slots__ = ("name", "ring", "variety", "group", "invariants",
-                 "candidates", "ideals", "model", "relations")
-
-    def __init__(self, name, variety, group, invariants, candidates, ideals,
-                 caps=None, relations=()):
-        self.name = name
-        self.ring = variety.ring
-        self.variety = variety
-        self.group = group
-        self.invariants = dict(invariants)
-        self.candidates = dict(candidates)
-        declared = list(self.invariants.values()) or None
-        self.model = SepVarietyModel(variety, group, invariants=declared,
-                                     caps=caps)
-        self.ideals = dict(ideals(self.model) if callable(ideals) else ideals)
-        self.relations = dict(relations)
-
-    def __repr__(self):
-        return f"BundledModel({self.name!r})"
+def _manifests():
+    return resources.files("sepinv").joinpath("data/manifests")
 
 
-def id10253():
-    """A C2 x C2 x C2 unipotent action on K^4 over F_2.
-
-    The invariant ring is generated by two linear forms, two quartics, and
-    one cubic h satisfying h^2 = f1^2*g3 + f2^2*g4 with g3 = f1*h + f3 and
-    g4 = f1*h + f4, so {f1, f2, g3, g4} is a separating set of size four.
-    """
-    field = make_field(2)
-    ring = PolynomialRing(field, ("x1", "x2", "x3", "x4"), GREVLEX)
-    m1 = AffineMap(field, [[1, 0, 0, 0],
-                           [0, 1, 0, 0],
-                           [0, 0, 1, 0],
-                           [0, 0, 1, 1]])
-    m2 = AffineMap(field, [[1, 0, 0, 0],
-                           [1, 1, 0, 0],
-                           [0, 0, 1, 0],
-                           [0, 0, 0, 1]])
-    m3 = AffineMap(field, [[1, 0, 0, 0],
-                           [1, 1, 1, 0],
-                           [0, 0, 1, 0],
-                           [1, 0, 1, 1]])
-    group = enumerate_group([m1, m2, m3])
-    variety = VarietyPresentation(ring)
-
-    f1 = ring.parse("x1")
-    f2 = ring.parse("x3")
-    f3 = ring.parse(
-        "x1^3*x2 + x1*x2*x3^2 + x1*x3^2*x4 + x1*x3*x4^2"
-        " + x2^4 + x2^2*x3^2 + x3^3*x4 + x3^2*x4^2"
-    )
-    f4 = ring.parse(
-        "x1^2*x3*x4 + x1^2*x4^2 + x1*x3^2*x4 + x1*x3*x4^2"
-        " + x3^2*x4^2 + x4^4"
-    )
-    h = ring.parse("x1^2*x2 + x1*x2^2 + x3^2*x4 + x3*x4^2")
-    g3 = f1 * h + f3
-    g4 = f1 * h + f4
-    invariants = {"f1": f1, "f2": f2, "f3": f3, "f4": f4, "h": h}
-
-    candidates = {
-        "main": SeparatingCandidate(
-            "main", [f1, f2, g3, g4],
-            note="the four-element set built from the algebra generators",
-        ),
-        "f1-only": SeparatingCandidate(
-            "f1-only", [f1],
-            note="a singleton that cannot separate (kept as a negative case)",
-        ),
-    }
-
-    def ideals(model):
-        diffs = [model.inject_x(g) - model.inject_y(g)
-                 for g in (f1, f2, g3, g4)]
-        return {"J": Ideal(model.doubled_ring, diffs)}
-
-    relations = {
-        "algebra": f1 ** 3 * h + f1 ** 2 * f3 + f1 * f2 ** 2 * h
-                   + f2 ** 2 * f4 + h * h,
-        "square": h * h + f1 ** 2 * g3 + f2 ** 2 * g4,
-    }
-    return BundledModel("id10253", variety, group, invariants,
-                        candidates, ideals, relations=relations)
-
-
-def additive(p):
-    """The translation action of F_p on the affine line.
-
-    Every nonzero translation is fixed-point free, so the group is not
-    generated by elements with fixed points and no reflection bound can be
-    concluded, even though x^p - x generates the invariant ring.
-    """
-    field = make_field(p)
-    ring = PolynomialRing(field, ("x1",), GREVLEX)
-    step = AffineMap(field, [[1]], translation=[1])
-    group = enumerate_group([step])
-    variety = VarietyPresentation(ring)
-
-    u = ring.parse(f"x1^{p} - x1")
-    invariants = {"u": u}
-    candidates = {
-        "generators": SeparatingCandidate(
-            "generators", [u],
-            note="the single algebra generator of the invariant ring",
-        ),
-    }
-    return BundledModel(f"additive-{p}", variety, group, invariants,
-                        candidates, {})
-
-
-def two_planes():
-    """An order-two swap of two planes through the origin in K^4.
-
-    The union of the planes is not Cohen-Macaulay at the origin, so the
-    size-two separating set does not force reflections, and indeed the swap
-    has a zero-dimensional fixed locus.
-    """
-    field = make_field(5)
-    ring = PolynomialRing(field, ("x1", "x2", "x3", "x4"), GREVLEX)
-    sigma = AffineMap(field, [[1, 0, 0, 0],
-                              [0, 1, 0, 0],
-                              [0, 0, -1, 0],
-                              [0, 0, 0, -1]])
-    group = enumerate_group([sigma])
-    plane_a = Ideal(ring, [ring.parse("x1 - x3"), ring.parse("x2 - x4")])
-    plane_b = Ideal(ring, [ring.parse("x1 + x3"), ring.parse("x2 + x4")])
-    variety = VarietyPresentation(ring, components=[plane_a, plane_b])
-
-    invariants = {
-        "a1": ring.parse("x1"),
-        "a2": ring.parse("x2"),
-        "b1": ring.parse("x3^2"),
-        "b2": ring.parse("x3*x4"),
-        "b3": ring.parse("x4^2"),
-    }
-    candidates = {
-        "restricted": SeparatingCandidate(
-            "restricted",
-            [invariants["a1"], invariants["a2"]],
-            note="the two coordinates that survive restriction to the union",
-        ),
-    }
-    return BundledModel("two-planes", variety, group, invariants,
-                        candidates, {})
+def names():
+    """The names of the packaged manifests, sorted."""
+    return sorted(p.name[:-len(".json")] for p in _manifests().iterdir()
+                  if p.name.endswith(".json"))
 
 
 def load(name, p=None):
-    """Build a bundled model by its public name."""
-    if name == "id10253":
-        return id10253()
+    """Build a packaged model by name; `additive-p` takes its prime from p."""
     if name == "additive-p":
-        return additive(2 if p is None else p)
-    if name == "two-planes":
-        return two_planes()
-    raise ValueError(f"unknown bundled model {name!r}")
+        name = f"additive-{2 if p is None else p}"
+    known = names()
+    if name not in known:
+        raise ManifestError(f"unknown bundled model {name!r}; known bundled "
+                            "models: " + ", ".join(known))
+    doc = json.loads(_manifests().joinpath(name + ".json")
+                     .read_text(encoding="utf-8"))
+    return Manifest.from_dict(doc).build()

@@ -18,6 +18,7 @@ import time
 from importlib import resources
 
 from . import bundled
+from .bundled import names as bundled_manifest_names
 from .errors import (
     CapsEnvironmentError,
     DimensionMismatch,
@@ -92,21 +93,9 @@ def _jsonable(value):
 
 def _load_model(spec):
     """A manifest path, or the name of a bundled manifest."""
-    root = resources.files("sepinv").joinpath("data/manifests")
-    packaged = root.joinpath(spec + ".json")
-    try:
-        if packaged.is_file():
-            doc = json.loads(packaged.read_text(encoding="utf-8"))
-            return Manifest.from_dict(doc).build()
-    except OSError:
-        pass
+    if spec in bundled_manifest_names():
+        return bundled.load(spec)
     return Manifest.from_path(spec).build()
-
-
-def bundled_manifest_names():
-    root = resources.files("sepinv").joinpath("data/manifests")
-    return sorted(p.name[:-len(".json")] for p in root.iterdir()
-                  if p.name.endswith(".json"))
 
 
 def _expected_checks(name):
@@ -473,10 +462,7 @@ def _cmd_audit(args):
 
 
 def _cmd_reproduce(args):
-    if args.name == "additive-p":
-        bm = bundled.load(args.name, args.p)
-    else:
-        bm = bundled.load(args.name)
+    bm = bundled.load(args.name, args.p)
     expected = _expected_checks(bm.name)
     actual = _flatten(model_facts(bm))
     rows = []

@@ -198,7 +198,7 @@ class VarietyPresentation:
                     )
 
 
-def fixed_locus_codim(sigma, variety, caps=None):
+def fixed_locus_codim(sigma, variety):
     """Codimension in X of the fixed locus of sigma.
 
     The fixed locus on each component is the component ideal plus the
@@ -211,7 +211,6 @@ def fixed_locus_codim(sigma, variety, caps=None):
     cached = variety._codims.get(sigma)
     if cached is not None:
         return cached
-    caps = caps or variety.caps
     equations = []
     for i in range(ring.nvars):
         xi = ring.var(i)
@@ -220,7 +219,7 @@ def fixed_locus_codim(sigma, variety, caps=None):
             equations.append(moved)
     best = None
     for comp in variety.components:
-        fixed = Ideal(ring, list(comp.gens) + equations, caps)
+        fixed = Ideal(ring, list(comp.gens) + equations, variety.caps)
         if fixed.is_unit():
             continue
         d = fixed.dimension()
@@ -256,7 +255,7 @@ def _graph_connected(count, edge):
     return len(seen) == count
 
 
-def variety_pairwise_codim(variety, i, j, caps=None):
+def variety_pairwise_codim(variety, i, j):
     """Codimension in X of the meet of two listed components."""
     if i > j:
         i, j = j, i
@@ -266,11 +265,10 @@ def variety_pairwise_codim(variety, i, j, caps=None):
     if i == j:
         value = 0
     else:
-        caps = caps or variety.caps
         both = Ideal(
             variety.ring,
             variety.components[i].gens + variety.components[j].gens,
-            caps,
+            variety.caps,
         )
         if both.is_unit():
             value = math.inf

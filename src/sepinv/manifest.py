@@ -2,7 +2,8 @@
 
 A manifest names everything a run needs: the coefficient field, the ambient
 dimension, the group generators, optional variety components, and optional
-named invariants, candidate separating sets, and extra doubled-ring ideals.
+named invariants, candidate separating sets, extra doubled-ring ideals, and
+relations among the invariants.
 Validation is all-or-nothing: every declared polynomial must parse in its
 ring before any model computation starts, and any defect is reported as a
 `ManifestError` naming the offending entry.
@@ -19,12 +20,15 @@ The document layout:
       "components": [["x1 - x3", "x2 - x4"], ["x1 + x3", "x2 + x4"]],
       "invariants": {"a1": "x1", ...},
       "candidates": {"restricted": ["x1", "x2"]},
-      "ideals": {"J": ["x1 - y1", ...]}        // over x1..xn, y1..yn
+      "ideals": {"J": ["x1 - y1", ...]},       // over x1..xn, y1..yn
+      "relations": {"r": "a1^2 - a2"}          // over the invariant names
     }
 
 `components` defaults to a single zero ideal, meaning X is all of K^n.
 Ideal generators live in the doubled ring, whose second block of variables
-mirrors the first (`x3` pairs with `y3`).
+mirrors the first (`x3` pairs with `y3`).  A relation is a polynomial in
+the invariants, written with their names as variables; it holds when
+substituting the invariants gives zero.
 """
 
 import json
@@ -43,13 +47,12 @@ from .field import make_field
 from .groebner import Ideal
 from .group import VarietyPresentation, enumerate_group
 from .poly import GREVLEX, AffineMap, PolynomialRing
-from .bundled import BundledModel
 from .separating import SeparatingCandidate
-from .sepvar import _mirror_names
+from .sepvar import SepVarietyModel, _mirror_names
 
 _TOP_KEYS = frozenset((
     "schema", "name", "field", "n", "variables", "generators",
-    "components", "invariants", "candidates", "ideals",
+    "components", "invariants", "candidates", "ideals", "relations",
 ))
 
 
@@ -77,15 +80,45 @@ def _parse_poly(ring, text, where):
         _fail(where, str(exc))
 
 
+class BundledModel:
+    """A built model with its invariants, candidates, ideals and relations.
+
+    `invariants` maps names to polynomials in the base ring, `candidates`
+    maps names to SeparatingCandidate objects, `ideals` maps names to
+    ideals of the doubled ring whose defects are worth computing, and
+    `relations` maps names to base-ring polynomials that should vanish.
+    """
+
+    __slots__ = ("name", "ring", "variety", "group", "invariants",
+                 "candidates", "ideals", "model", "relations")
+
+    def __init__(self, name, variety, group, invariants, candidates, ideals,
+                 relations):
+        self.name = name
+        self.ring = variety.ring
+        self.variety = variety
+        self.group = group
+        self.invariants = dict(invariants)
+        self.candidates = candidates
+        self.model = SepVarietyModel(
+            variety, group, invariants=list(invariants.values()) or None
+        )
+        self.ideals = ideals
+        self.relations = dict(relations)
+
+    def __repr__(self):
+        return f"BundledModel({self.name!r})"
+
+
 class Manifest:
     """A fully validated model description, ready to build."""
 
     __slots__ = ("schema", "name", "field", "ring", "doubled_ring",
                  "generators", "components", "invariants", "candidates",
-                 "ideals")
+                 "ideals", "relations")
 
     def __init__(self, schema, name, field, ring, doubled_ring, generators,
-                 components, invariants, candidates, ideals):
+                 components, invariants, candidates, ideals, relations):
         self.schema = schema
         self.name = name
         self.field = field
@@ -96,6 +129,7 @@ class Manifest:
         self.invariants = invariants
         self.candidates = candidates
         self.ideals = ideals
+        self.relations = relations
 
     @classmethod
     def from_dict(cls, doc):
@@ -218,8 +252,22 @@ class Manifest:
                 _fail(where, "an ideal needs at least one generator")
             ideals[key] = [_parse_poly(doubled, t, where) for t in entries]
 
+        relations = {}
+        raw_relations = _expect(doc.get("relations", {}), dict, "relations")
+        if raw_relations:
+            if not invariants:
+                _fail("relations", "relations need declared invariants")
+            try:
+                over = PolynomialRing(field, tuple(invariants), GREVLEX)
+            except ValueError as exc:
+                _fail("relations", str(exc))
+            images = list(invariants.values())
+            for key, text in raw_relations.items():
+                relation = _parse_poly(over, text, f"relations.{key}")
+                relations[key] = relation.substitute(images)
+
         return cls(schema, name, field, ring, doubled, generators,
-                   components, invariants, candidates, ideals)
+                   components, invariants, candidates, ideals, relations)
 
     @classmethod
     def from_path(cls, path):
@@ -244,12 +292,10 @@ class Manifest:
             key: SeparatingCandidate(key, polys, note="declared in manifest")
             for key, polys in self.candidates.items()
         }
+        ideals = {key: Ideal(self.doubled_ring, gens, caps)
+                  for key, gens in self.ideals.items()}
         built = BundledModel(self.name, variety, group, self.invariants,
-                             candidates, {}, caps=caps)
+                             candidates, ideals, self.relations)
         if built.model.doubled_ring != self.doubled_ring:
             raise RingMismatch("doubled ring disagrees with the manifest")
-        built.ideals.update(
-            (key, Ideal(self.doubled_ring, gens, caps))
-            for key, gens in self.ideals.items()
-        )
         return built

@@ -434,6 +434,7 @@ def minimal_free_resolution(ideal, caps=None):
 
     shifts = []
     matrices = []
+    zero = ring.zero()
     for k in range(len(chain.live)):
         ids = sorted(chain.live[k])
         shifts.append(tuple(chain.shifts[k][i] for i in ids))
@@ -443,7 +444,7 @@ def minimal_free_resolution(ideal, caps=None):
             for r in prev_ids:
                 row = []
                 for c in ids:
-                    row.append(chain.d[k].get(c, {}).get(r, ring.zero()))
+                    row.append(chain.d[k].get(c, {}).get(r, zero))
                 mat.append(tuple(row))
             matrices.append(tuple(mat))
     res = FreeResolution(ring, shifts, matrices)
@@ -457,13 +458,13 @@ def minimal_free_resolution(ideal, caps=None):
     return res
 
 
-def cohen_macaulay_defect(ideal, caps=None):
+def cohen_macaulay_defect(ideal):
     """dim R/I minus depth R/I; zero exactly when R/I is Cohen-Macaulay.
 
     Reuses the resolution cached on the ideal by an earlier call.
     """
     res = ideal._resolution
     if res is None:
-        res = minimal_free_resolution(ideal, caps)
+        res = minimal_free_resolution(ideal)
     depth = ideal.ring.nvars - res.length
     return ideal.dimension() - depth

@@ -98,7 +98,7 @@ def verify_separating_symbolic(candidate, model):
     return True
 
 
-def verify_separating_points(candidate, group, variety, field=None, caps=None):
+def verify_separating_points(candidate, group, variety, field=None):
     """Brute-force check over one finite field: necessary evidence only.
 
     The candidate passes when all rational points of the variety with
@@ -110,7 +110,7 @@ def verify_separating_points(candidate, group, variety, field=None, caps=None):
     """
     _check_invariance(candidate, group)
     fld = field or variety.ring.field
-    points = variety_points(variety, fld, caps or variety.caps)
+    points = variety_points(variety, fld)
     evaluators = [g.evaluator(fld) for g in candidate.polynomials]
     first = {}
     orbits = {}

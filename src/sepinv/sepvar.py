@@ -81,14 +81,14 @@ class GraphComponent:
 class SepVarietyModel:
     """Everything needed to reason about one group action's separating variety."""
 
-    def __init__(self, variety, group, invariants=None, caps=None):
+    def __init__(self, variety, group, invariants=None):
         ring = variety.ring
         if group.field != ring.field or group.n != ring.nvars:
             raise DimensionMismatch("group and variety disagree on the ambient space")
         variety.check_group_action(group)
         self.variety = variety
         self.group = group
-        self.caps = caps or variety.caps
+        self.caps = variety.caps
         self.base_ring = ring
         y_names = _mirror_names(ring.variables)
         self.doubled_ring = PolynomialRing(

@@ -17,19 +17,19 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 @pytest.fixture(scope="session")
 def id10253():
-    return bundled.id10253()
+    return bundled.load("id10253")
 
 
 @pytest.fixture(scope="session")
 def two_planes():
-    return bundled.two_planes()
+    return bundled.load("two-planes")
 
 
 @pytest.fixture(scope="session")
 def additive2():
-    return bundled.additive(2)
+    return bundled.load("additive-2")
 
 
 @pytest.fixture(scope="session")
 def additive3():
-    return bundled.additive(3)
+    return bundled.load("additive-3")

@@ -159,7 +159,7 @@ def test_criterion_5a_additive_groups_defeat_every_reflection_bound():
     from sepinv import bundled
 
     for p in (2, 3, 5):
-        bm = bundled.additive(p)
+        bm = bundled.load("additive-p", p)
         u = bm.invariants["u"]
         assert is_invariant(u, bm.group)
         assert u == bm.ring.parse(f"x1^{p} - x1")

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -85,6 +86,10 @@ def test_manifest_accepts_named_variables_and_ideals():
         (lambda d: d.update(components=[["x1 -"]]), "components"),
         (lambda d: d.update(ideals={"j": ["z9"]}), "ideals.j"),
         (lambda d: d.update(invariants={"e1": 7}), "invariants"),
+        (
+            lambda d: (d.pop("invariants"), d.update(relations={"r": "1"})),
+            "declared invariants",
+        ),
     ],
 )
 def test_manifest_rejects_bad_documents(mutate, fragment):
@@ -115,33 +120,47 @@ def test_bundled_manifest_names():
     ]
 
 
-@pytest.mark.parametrize("name", ["id10253", "two-planes", "additive-2", "additive-3", "additive-5"])
-def test_bundled_manifests_agree_with_builders(name):
-    from sepinv.cli import _load_model
+def packaged_manifest(name):
+    path = resources.files("sepinv").joinpath(f"data/manifests/{name}.json")
+    return json.loads(path.read_text(encoding="utf-8"))
 
-    from_manifest = _load_model(name)
-    if name.startswith("additive-"):
-        direct = bundled.additive(int(name.split("-")[1]))
-    else:
-        direct = bundled.load(name)
-    assert from_manifest.group.order == direct.group.order
-    assert from_manifest.group.elements == direct.group.elements
-    assert from_manifest.ring == direct.ring
-    assert from_manifest.model.doubled_ring == direct.model.doubled_ring
-    assert set(from_manifest.invariants) == set(direct.invariants)
-    for key, f in direct.invariants.items():
-        assert from_manifest.invariants[key] == f
-    assert set(from_manifest.candidates) == set(direct.candidates)
-    for key, cand in direct.candidates.items():
-        assert tuple(from_manifest.candidates[key].polynomials) == tuple(
-            cand.polynomials
-        )
-    assert set(from_manifest.ideals) == set(direct.ideals)
-    for key, ideal in direct.ideals.items():
-        assert from_manifest.ideals[key] == ideal
-    assert len(from_manifest.variety.components) == len(direct.variety.components)
-    for a, b in zip(from_manifest.variety.components, direct.variety.components):
-        assert a == b
+
+def test_every_manifest_has_an_expected_fixture():
+    root = resources.files("sepinv").joinpath("data")
+
+    def stems(kind):
+        return {p.name[:-len(".json")] for p in root.joinpath(kind).iterdir()
+                if p.name.endswith(".json")}
+
+    assert stems("manifests") == stems("expected")
+
+
+def test_id10253_manifest_algebra():
+    bm = bundled.load("id10253")
+    f1, f2, f3, f4, h = (bm.invariants[k] for k in ("f1", "f2", "f3", "f4", "h"))
+    main = [f1, f2, f1 * h + f3, f1 * h + f4]
+    assert list(bm.candidates["main"].polynomials) == main
+    model = bm.model
+    assert list(bm.ideals["J"].gens) == [
+        model.inject_x(g) - model.inject_y(g) for g in main
+    ]
+    assert set(bm.relations) == {"algebra", "square"}
+    assert all(r.is_zero() for r in bm.relations.values())
+
+
+def test_id10253_manifest_relations_are_checked():
+    from sepinv.cli import model_facts
+
+    doc = packaged_manifest("id10253")
+    doc["relations"]["wrong"] = "h^2 + f1^2*f3"
+    bm = Manifest.from_dict(doc).build()
+    assert not bm.relations["wrong"].is_zero()
+    assert model_facts(bm)["relations_hold"] is False
+
+    doc = packaged_manifest("id10253")
+    doc["relations"]["stray"] = "f1*g9"
+    with pytest.raises(ManifestError, match=r"relations\.stray"):
+        Manifest.from_dict(doc)
 
 
 def run_cli(capsys, argv):
@@ -271,6 +290,10 @@ def test_cli_reproduce(capsys):
     assert "all checks passed" in out or "verdict: ok" in out
     code, out = run_cli(capsys, ["reproduce", "additive-p", "--p", "7"])
     assert code == 2
+    assert out.splitlines() == [
+        "error: unknown bundled model 'additive-7'; known bundled models: "
+        "additive-2, additive-3, additive-5, id10253, two-planes"
+    ]
 
 
 @pytest.mark.parametrize("name", ["id10253", "two-planes"])
