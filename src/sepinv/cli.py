@@ -6,10 +6,13 @@ The machine report is deterministic: keys are sorted, timing is omitted,
 and identical inputs produce byte-identical documents.
 
 Exit codes: 0 for success, 1 when a verification or audit is negative,
-2 for input problems, 3 when a resource cap stops a computation.
+2 for input problems, 3 when a resource cap stops a computation.  An
+error's class fixes its code: `InputError` exits 2, `ResourceCapExceeded`
+3 and `InternalError` 1; any other exception propagates.
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -20,27 +23,16 @@ from importlib import resources
 from . import bundled
 from .bundled import names as bundled_manifest_names
 from .errors import (
-    CapsEnvironmentError,
-    DimensionMismatch,
-    EnumerationCapExceeded,
-    EquivalenceViolation,
-    GroupCapExceeded,
+    InputError,
+    InternalError,
     InternalInconsistency,
+    InvalidArgument,
     ManifestError,
-    MissingModulus,
-    NonHomogeneousInput,
-    NonPrimeCharacteristic,
     NotGeneratedByFixedPointElements,
-    NotInvariant,
-    PolynomialSyntaxError,
     ReducibleModulus,
     ResourceCapExceeded,
-    RingMismatch,
-    UnitIdeal,
-    UnknownVariable,
-    VarietyNotPreserved,
 )
-from .field import make_field
+from .field import _monic_polys, make_field
 from .group import fixed_locus_codim, k_reflections, min_reflection_number
 from .manifest import Manifest
 from .poly import is_homogeneous
@@ -58,28 +50,6 @@ OK = 0
 NEGATIVE = 1
 INPUT_ERROR = 2
 RESOURCE = 3
-
-_INPUT_ERRORS = (
-    CapsEnvironmentError,
-    ManifestError,
-    PolynomialSyntaxError,
-    UnknownVariable,
-    RingMismatch,
-    DimensionMismatch,
-    NonPrimeCharacteristic,
-    MissingModulus,
-    ReducibleModulus,
-    UnitIdeal,
-    NonHomogeneousInput,
-    NotInvariant,
-    VarietyNotPreserved,
-    ValueError,
-)
-_RESOURCE_ERRORS = (
-    ResourceCapExceeded,
-    GroupCapExceeded,
-    EnumerationCapExceeded,
-)
 
 
 def _jsonable(value):
@@ -117,7 +87,12 @@ def _graded(ideal):
 def model_facts(bm):
     """Every reproducible fact about a built model, as plain JSON data."""
     model, variety, group = bm.model, bm.variety, bm.group
-    dim = variety.dimension()
+    report = reflection_audit(
+        model,
+        candidates=list(bm.candidates.values()),
+        ideals=list(bm.ideals.items()),
+    )
+    dim = report.dimension
     facts = {
         "group_order": len(group),
         "dimension": dim,
@@ -125,11 +100,8 @@ def model_facts(bm):
             [fixed_locus_codim(g, variety) for g in group.generators]
         ),
         "fixed_point_elements": len(k_reflections(group, variety, dim)),
+        "min_reflection_number": report.min_reflections,
     }
-    try:
-        facts["min_reflection_number"] = min_reflection_number(group, variety)
-    except NotGeneratedByFixedPointElements:
-        facts["min_reflection_number"] = None
 
     from .separating import is_invariant
 
@@ -154,8 +126,7 @@ def model_facts(bm):
     facts["vsep_connected"] = connected_in_codim(model, dim)
 
     facts["separating_symbolic"] = {
-        name: verify_separating_symbolic(cand, model)
-        for name, cand in bm.candidates.items()
+        name: verified for name, _, verified in report.candidates
     }
     facts["separating_points"] = {
         name: verify_separating_points(cand, group, variety)
@@ -182,11 +153,6 @@ def model_facts(bm):
         if _graded(presented):
             facts["cmdef_coordinate_ring"] = cohen_macaulay_defect(presented)
 
-    report = reflection_audit(
-        model,
-        candidates=list(bm.candidates.values()),
-        ideals=list(bm.ideals.items()),
-    )
     facts["audit_conclusion"] = report.conclusion
     return facts
 
@@ -275,7 +241,7 @@ def _cmd_sepvar_build(args):
 def _cmd_sepvar_connectivity(args):
     bm = _load_model(args.manifest)
     if args.codim < 0:
-        raise ValueError("--codim must be nonnegative")
+        raise InvalidArgument("--codim must be nonnegative")
     report = connectivity_equivalence_check(bm.model, args.codim)
     results = {
         "codim": report.k,
@@ -370,14 +336,9 @@ def _field_for_points(bm, spec):
         )
     if exp == 1:
         return make_field(p)
-    for packed in range(p ** exp):
-        coeffs = []
-        left = packed
-        for _ in range(exp):
-            coeffs.append(left % p)
-            left //= p
+    for modulus in _monic_polys(exp, p):
         try:
-            return make_field(p, exp, coeffs + [1])
+            return make_field(p, exp, modulus)
         except ReducibleModulus:
             continue
     raise InternalInconsistency(f"no irreducible modulus found for {spec}")
@@ -422,20 +383,8 @@ def _cmd_audit(args):
         ideals=list(bm.ideals.items()),
         cm_asserted=True if args.assert_cm else None,
     )
-    results = {
-        "dimension": report.dimension,
-        "variety_connected": report.variety_connected,
-        "cohen_macaulay": report.cohen_macaulay,
-        "cohen_macaulay_source": report.cohen_macaulay_source,
-        "fixed_point_generated": report.fixed_point_generated,
-        "candidates": [list(row) for row in report.candidates],
-        "gamma_upper_bound": report.gamma_upper_bound,
-        "ideals": [list(row) for row in report.ideals],
-        "reflection_bound": report.reflection_bound,
-        "min_reflection_number": report.min_reflections,
-        "conclusion": report.conclusion,
-        "notes": list(report.notes),
-    }
+    results = dataclasses.asdict(report)
+    results["min_reflection_number"] = results.pop("min_reflections")
     lines = [
         f"variety connected: {str(report.variety_connected).lower()}",
         f"Cohen-Macaulay: {report.cohen_macaulay} "
@@ -570,7 +519,7 @@ def _build_parser():
                                help="run a bundled model against its "
                                     "expected values")
     reproduce.add_argument("name",
-                           choices=["id10253", "additive-p", "two-planes"])
+                           choices=bundled_manifest_names() + ["additive-p"])
     reproduce.add_argument("--p", type=int, default=2,
                            help="characteristic for additive-p (2, 3, or 5)")
     json_arg(reproduce)
@@ -584,13 +533,13 @@ def main(argv=None):
     started = time.monotonic()
     try:
         results, verdict, lines = args.handler(args)
-    except _RESOURCE_ERRORS as exc:
+    except ResourceCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return RESOURCE
-    except (EquivalenceViolation, InternalInconsistency) as exc:
+    except InternalError as exc:
         print(f"internal consistency: {exc}", file=sys.stderr)
         return NEGATIVE
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -5,17 +5,31 @@ class SepinvError(Exception):
     """Base class for all errors raised by this package."""
 
 
+# -- roots that fix the command line's exit code ------------------------------
+
+class InputError(SepinvError):
+    """The input is at fault: a bad manifest, option or model (exit 2)."""
+
+
+class ResourceCapExceeded(SepinvError):
+    """A caller-controlled cap stopped a computation (exit 3)."""
+
+
+class InternalError(SepinvError):
+    """Two computations that must agree did not: a bug here (exit 1)."""
+
+
 # -- field construction / arithmetic ----------------------------------------
 
-class NonPrimeCharacteristic(SepinvError):
+class NonPrimeCharacteristic(InputError):
     pass
 
 
-class ReducibleModulus(SepinvError):
+class ReducibleModulus(InputError):
     pass
 
 
-class MissingModulus(SepinvError):
+class MissingModulus(InputError):
     pass
 
 
@@ -23,13 +37,13 @@ class DivisionByZero(SepinvError):
     pass
 
 
-class EnumerationCapExceeded(SepinvError):
+class EnumerationCapExceeded(ResourceCapExceeded):
     pass
 
 
 # -- polynomial layer --------------------------------------------------------
 
-class PolynomialSyntaxError(SepinvError):
+class PolynomialSyntaxError(InputError):
     """Bad polynomial text. Carries the 0-based position of the offense."""
 
     def __init__(self, message, position):
@@ -37,7 +51,7 @@ class PolynomialSyntaxError(SepinvError):
         self.position = position
 
 
-class UnknownVariable(SepinvError):
+class UnknownVariable(InputError):
     def __init__(self, name, position=None):
         at = f" (at position {position})" if position is not None else ""
         super().__init__(f"unknown variable {name!r}{at}")
@@ -45,33 +59,29 @@ class UnknownVariable(SepinvError):
         self.position = position
 
 
-class RingMismatch(SepinvError):
+class RingMismatch(InputError):
     pass
 
 
-class DimensionMismatch(SepinvError):
+class DimensionMismatch(InputError):
     pass
 
 
 # -- ideal computations ------------------------------------------------------
 
-class ResourceCapExceeded(SepinvError):
-    pass
-
-
-class UnitIdeal(SepinvError):
+class UnitIdeal(InputError):
     pass
 
 
 # -- resolutions -------------------------------------------------------------
 
-class NonHomogeneousInput(SepinvError):
+class NonHomogeneousInput(InputError):
     pass
 
 
 # -- groups ------------------------------------------------------------------
 
-class GroupCapExceeded(SepinvError):
+class GroupCapExceeded(ResourceCapExceeded):
     pass
 
 
@@ -79,13 +89,13 @@ class NotGeneratedByFixedPointElements(SepinvError):
     pass
 
 
-class VarietyNotPreserved(SepinvError):
+class VarietyNotPreserved(InputError):
     """A group generator fails to permute the variety's components."""
 
 
 # -- separating machinery ----------------------------------------------------
 
-class NotInvariant(SepinvError):
+class NotInvariant(InputError):
     def __init__(self, polynomial, generator):
         super().__init__(
             f"polynomial {polynomial} is not invariant under group generator {generator}"
@@ -94,20 +104,26 @@ class NotInvariant(SepinvError):
         self.generator = generator
 
 
-class EquivalenceViolation(SepinvError):
+class EquivalenceViolation(InternalError):
     """The two independently computed sides of the connectivity equivalence
     disagree. This always indicates an implementation bug."""
 
 
-class InternalInconsistency(SepinvError):
+class InternalInconsistency(InternalError):
     """An implied conclusion contradicts its direct verification."""
 
 
 # -- manifest / cli ----------------------------------------------------------
 
-class ManifestError(SepinvError):
+class InvalidArgument(InputError, ValueError):
+    """A request its arguments cannot serve: a negative `--codim`, or the
+    difference ideal of a model built without invariants.  Also a
+    ValueError, which library callers may already catch."""
+
+
+class ManifestError(InputError):
     pass
 
 
-class CapsEnvironmentError(SepinvError):
+class CapsEnvironmentError(InputError):
     """A SEPINV_* cap variable holds something that is not an integer."""

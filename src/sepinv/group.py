@@ -72,26 +72,8 @@ def enumerate_group(generators, caps=None):
     for g in generators:
         if g.field != field or g.n != n:
             raise DimensionMismatch("generators disagree on field or dimension")
-    ident = AffineMap.identity(field, n)
-    elements = [ident]
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for g in generators:
-                b = a.compose(g)
-                if b in seen:
-                    continue
-                if len(elements) >= caps.group_cap:
-                    raise GroupCapExceeded(
-                        f"enumerate_group: {len(elements) + 1} elements "
-                        f"exceed group_cap {caps.group_cap} (SEPINV_GROUP_CAP)"
-                    )
-                seen.add(b)
-                elements.append(b)
-                fresh.append(b)
-        frontier = fresh
+    elements = _closure(AffineMap.identity(field, n), generators,
+                        caps.group_cap)
     return FiniteGroup(field, n, generators, elements)
 
 
@@ -105,19 +87,36 @@ def generated_by(group, subset):
     for s in subset:
         if s not in group:
             raise ValueError("subset element outside the group")
-    ident = group.identity
+    return len(_closure(group.identity, subset)) == len(group)
+
+
+def _closure(ident, generators, cap=math.inf):
+    """Every product of the generators, breadth-first from the identity.
+
+    Words of length 1 come in generator order, then words of length 2, and
+    so on; an element is listed when it is first reached.  More than `cap`
+    elements raise GroupCapExceeded.
+    """
+    elements = [ident]
     seen = {ident}
     frontier = [ident]
     while frontier:
         fresh = []
         for a in frontier:
-            for g in subset:
+            for g in generators:
                 b = a.compose(g)
-                if b not in seen:
-                    seen.add(b)
-                    fresh.append(b)
+                if b in seen:
+                    continue
+                if len(elements) >= cap:
+                    raise GroupCapExceeded(
+                        f"enumerate_group: {len(elements) + 1} elements "
+                        f"exceed group_cap {cap} (SEPINV_GROUP_CAP)"
+                    )
+                seen.add(b)
+                elements.append(b)
+                fresh.append(b)
         frontier = fresh
-    return len(seen) == len(group)
+    return elements
 
 
 class VarietyPresentation:
@@ -211,26 +210,34 @@ def fixed_locus_codim(sigma, variety):
     cached = variety._codims.get(sigma)
     if cached is not None:
         return cached
+    equations = _moved_equations(sigma, ring)
+    codim = min(_locus_codim(variety, ring, list(comp.gens) + equations)
+                for comp in variety.components)
+    variety._codims[sigma] = codim
+    return codim
+
+
+def _moved_equations(sigma, ring):
+    """The nonzero sigma(x_i) - x_i: together they cut out sigma's fixed points."""
     equations = []
     for i in range(ring.nvars):
         xi = ring.var(i)
         moved = compose_affine(xi, sigma) - xi
         if not moved.is_zero():
             equations.append(moved)
-    best = None
-    for comp in variety.components:
-        fixed = Ideal(ring, list(comp.gens) + equations, variety.caps)
-        if fixed.is_unit():
-            continue
-        d = fixed.dimension()
-        if best is None or d > best:
-            best = d
-    if best is None:
-        codim = math.inf
-    else:
-        codim = variety.dimension() - best
-    variety._codims[sigma] = codim
-    return codim
+    return equations
+
+
+def _locus_codim(variety, ring, gens):
+    """Codimension in X of the locus that `gens` cut out; +inf when empty.
+
+    The locus may live in a ring other than X's own, such as the doubled
+    ring of the separating variety: only its dimension is compared.
+    """
+    locus = Ideal(ring, gens, variety.caps)
+    if locus.is_unit():
+        return math.inf
+    return variety.dimension() - locus.dimension()
 
 
 def k_reflections(group, variety, k):
@@ -265,15 +272,10 @@ def variety_pairwise_codim(variety, i, j):
     if i == j:
         value = 0
     else:
-        both = Ideal(
-            variety.ring,
+        value = _locus_codim(
+            variety, variety.ring,
             variety.components[i].gens + variety.components[j].gens,
-            variety.caps,
         )
-        if both.is_unit():
-            value = math.inf
-        else:
-            value = variety.dimension() - both.dimension()
     variety._pair_codims[(i, j)] = value
     return value
 

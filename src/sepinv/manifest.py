@@ -288,10 +288,8 @@ class Manifest:
             component_ideals = [Ideal(self.ring, gens, caps)
                                 for gens in self.components]
         variety = VarietyPresentation(self.ring, component_ideals, caps)
-        candidates = {
-            key: SeparatingCandidate(key, polys, note="declared in manifest")
-            for key, polys in self.candidates.items()
-        }
+        candidates = {key: SeparatingCandidate(key, polys)
+                      for key, polys in self.candidates.items()}
         ideals = {key: Ideal(self.doubled_ring, gens, caps)
                   for key, gens in self.ideals.items()}
         built = BundledModel(self.name, variety, group, self.invariants,

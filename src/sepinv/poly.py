@@ -522,7 +522,7 @@ class AffineMap:
         self.matrix = tuple(rows)
         self.translation = tuple(norm(v) for v in translation)
         self.n = n
-        if _rank(field, [list(r) for r in self.matrix]) != n:
+        if _gauss_jordan(field, [list(r) for r in self.matrix], n) != n:
             raise ValueError("matrix is not invertible")
 
     @classmethod
@@ -583,17 +583,7 @@ class AffineMap:
         n = self.n
         aug = [list(self.matrix[i]) + [1 if j == i else 0 for j in range(n)]
                for i in range(n)]
-        col = 0
-        for r in range(n):
-            piv = next(i for i in range(r, n) if aug[i][col])
-            aug[r], aug[piv] = aug[piv], aug[r]
-            inv = fld.inv(aug[r][col])
-            aug[r] = [fld.mul(v, inv) for v in aug[r]]
-            for i in range(n):
-                if i != r and aug[i][col]:
-                    f = aug[i][col]
-                    aug[i] = [fld.sub(a, fld.mul(f, b)) for a, b in zip(aug[i], aug[r])]
-            col += 1
+        _gauss_jordan(fld, aug, n)
         ainv = [row[n:] for row in aug]
         tr = []
         for i in range(n):
@@ -607,18 +597,18 @@ class AffineMap:
         return f"AffineMap({self.matrix}, +{self.translation})"
 
 
-def _rank(field, rows):
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
+def _gauss_jordan(field, rows, ncols):
+    """Reduce `rows` in place on their first `ncols` columns; return the rank.
+
+    Each pivot column is cleared above and below a pivot scaled to 1, so
+    an invertible block becomes the identity and the columns to its right
+    are multiplied by its inverse.
+    """
     r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
@@ -629,10 +619,7 @@ def _rank(field, rows):
                 f = rows[i][c]
                 rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], rows[r])]
         r += 1
-        rank += 1
-        if r == len(rows):
-            break
-    return rank
+    return r
 
 
 def compose_affine(f, sigma):

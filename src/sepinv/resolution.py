@@ -47,29 +47,37 @@ class _Level:
     is `(parent key << w) | (top - c)` with top = 2^w - 1, where w is the
     bit length of the component count, so top - c never reaches the parent
     key's bits.
+
+    Every ring key is additive on packed monomials whose exponent sums stay
+    below 128: key(a + b) = key(a) + key(b) - key(0), under grevlex, lex
+    and block orders alike.  So the recursion above has the closed form
+    `offsets[c] + (key(m) << shift)`:
+    `shift` sums the widths w down the cascade, and `offsets[c]` folds in
+    lead_c and the parent's offset once, when the level is built.
     """
 
-    __slots__ = ("ring", "parent", "leads", "width", "top", "_keys")
+    __slots__ = ("ring", "shift", "offsets")
 
     def __init__(self, ring, parent=None, leads=None):
         self.ring = ring
-        self.parent = parent
-        self.leads = leads
-        self.width = (1 if leads is None else len(leads)).bit_length()
-        self.top = (1 << self.width) - 1
-        self._keys = {}
+        width = (1 if leads is None else len(leads)).bit_length()
+        top = (1 << width) - 1
+        if parent is None:
+            self.shift = width
+            self.offsets = (top,)
+            return
+        self.shift = parent.shift + width
+        one = ring.key(0)
+        offsets = []
+        for c, lead in enumerate(leads):
+            pc, m = ring.split(lead)
+            inner = parent.offsets[pc] + ((ring.key(m) - one) << parent.shift)
+            offsets.append((inner << width) + top - c)
+        self.offsets = tuple(offsets)
 
     def key(self, t):
-        k = self._keys.get(t)
-        if k is None:
-            c, m = self.ring.split(t)
-            if self.parent is None:
-                k = self.ring.key(m)
-            else:
-                k = self.parent.key(self.ring.mono_mul(self.leads[c], m))
-            k = (k << self.width) | (self.top - c)
-            self._keys[t] = k
-        return k
+        c, m = self.ring.split(t)
+        return self.offsets[c] + (self.ring.key(m) << self.shift)
 
 
 def _canon(work, key):

@@ -46,12 +46,11 @@ def is_invariant(f, group):
 class SeparatingCandidate:
     """A named set of invariants proposed as separating."""
 
-    __slots__ = ("name", "polynomials", "note")
+    __slots__ = ("name", "polynomials")
 
-    def __init__(self, name, polynomials, note=""):
+    def __init__(self, name, polynomials):
         self.name = name
         self.polynomials = tuple(polynomials)
-        self.note = note
 
     def __len__(self):
         return len(self.polynomials)
@@ -75,25 +74,31 @@ def verify_separating_symbolic(candidate, model):
 
     The candidate's difference ideal (plus the variety's ambient
     relations on both coordinate copies) must have the same radical as
-    the separating variety's vanishing ideal; both containments are
-    tested generator by generator.
+    the separating variety's vanishing ideal.  The ambient relations lie
+    in that ideal itself, so plain membership answers them.
     """
     _check_invariance(candidate, model.group)
-    diffs = [
+    gens = [
         model.inject_x(g) - model.inject_y(g) for g in candidate.polynomials
     ]
-    gens = list(diffs)
     if not model.variety.is_affine_space():
         ambient = model.variety.ideal()
         gens += [model.inject_x(g) for g in ambient.gens]
         gens += [model.inject_y(g) for g in ambient.gens]
-    candidate_ideal = Ideal(model.doubled_ring, gens, model.caps)
+    return _same_radical(Ideal(model.doubled_ring, gens, model.caps), model)
+
+
+def _same_radical(ideal, model):
+    """Does the ideal cut out the separating variety?
+
+    Both containments of radicals are tested generator by generator.
+    """
     radical = model.separating_variety_radical()
-    for d in diffs:
-        if not radical.radical_contains(d):
+    for g in ideal.gens:
+        if not radical.radical_contains(g):
             return False
     for h in radical.gens:
-        if not candidate_ideal.radical_contains(h):
+        if not ideal.radical_contains(h):
             return False
     return True
 
@@ -154,18 +159,6 @@ class AuditReport:
     conclusion: str
     min_reflections: object
     notes: tuple
-
-
-def _same_radical(ideal, model):
-    """Does the supplied ideal cut out the separating variety?"""
-    radical = model.separating_variety_radical()
-    for g in ideal.gens:
-        if not radical.radical_contains(g):
-            return False
-    for h in radical.gens:
-        if not ideal.radical_contains(h):
-            return False
-    return True
 
 
 def reflection_audit(model, candidates=(), ideals=(), cm_asserted=None):

@@ -15,19 +15,21 @@ and once back on X, and the two answers are required to agree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import (
     DimensionMismatch,
     EquivalenceViolation,
     InternalInconsistency,
+    InvalidArgument,
     NotInvariant,
 )
 from .groebner import Ideal
 from .group import (
     VarietyPresentation,
     _graph_connected,
+    _locus_codim,
+    _moved_equations,
     generated_by,
     k_reflections,
     orbit,
@@ -132,7 +134,7 @@ class SepVarietyModel:
         """
         if self._difference is None:
             if not self.invariants:
-                raise ValueError("the model was built without invariants")
+                raise InvalidArgument("the model was built without invariants")
             gens = []
             for f in self.invariants:
                 offender = invariance_offender(f, self.group)
@@ -231,11 +233,9 @@ class SepVarietyModel:
             value = 0
         else:
             a, b = comps[i], comps[j]
-            dim = self.variety.dimension()
-            both = Ideal(
-                self.doubled_ring, a.ideal.gens + b.ideal.gens, self.caps
+            doubled = _locus_codim(
+                self.variety, self.doubled_ring, a.ideal.gens + b.ideal.gens
             )
-            doubled = math.inf if both.is_unit() else dim - both.dimension()
             rho = b.sigma.inverse().compose(a.sigma)
             base = self._agreement_codim(rho, a.component, b.component)
             if doubled != base:
@@ -248,18 +248,10 @@ class SepVarietyModel:
 
     def _agreement_codim(self, rho, i, j):
         """Codimension in X of the locus of X_i meet X_j fixed by rho."""
-        ring = self.base_ring
-        gens = list(self.variety.components[i].gens)
-        gens += list(self.variety.components[j].gens)
-        for t in range(ring.nvars):
-            xt = ring.var(t)
-            moved = compose_affine(xt, rho) - xt
-            if not moved.is_zero():
-                gens.append(moved)
-        locus = Ideal(ring, gens, self.caps)
-        if locus.is_unit():
-            return math.inf
-        return self.variety.dimension() - locus.dimension()
+        components = self.variety.components
+        gens = list(components[i].gens) + list(components[j].gens)
+        gens += _moved_equations(rho, self.base_ring)
+        return _locus_codim(self.variety, self.base_ring, gens)
 
     def codim_matrix(self):
         """Symmetric matrix of pairwise intersection codimensions."""

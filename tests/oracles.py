@@ -72,6 +72,26 @@ def block_key(split, first, second):
     return lambda exps: (first(exps[:split]), second(exps[split:]))
 
 
+def level_key(ring_key, leads, c, exps):
+    """Int key of e_c * x^exps on the last level of a resolution cascade.
+
+    The module order's definition, by recursion: the base level has the one
+    component 0 and keys x^e as `ring_key(e)`; `leads[k]` lists the leads of
+    level k + 1 as (component on level k, exponent tuple).  A level with w
+    the bit length of its component count keys e_c * m by the key of
+    lead_c * m one level up, shifted left by w, with 2^w - 1 - c in the low
+    bits.
+    """
+    if not leads:
+        inner, width = ring_key(exps), 1
+    else:
+        parent, lead = leads[-1][c]
+        image = tuple(a + b for a, b in zip(lead, exps))
+        inner = level_key(ring_key, leads[:-1], parent, image)
+        width = len(leads[-1]).bit_length()
+    return (inner << width) | ((1 << width) - 1 - c)
+
+
 # -- dense linear algebra over F_p --------------------------------------------
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from sepinv import bundled
+from sepinv import bundled, cli, errors
 from sepinv.cli import _build_parser, bundled_manifest_names, main
 from sepinv.errors import ManifestError
 from sepinv.manifest import Manifest
@@ -296,6 +296,11 @@ def test_cli_reproduce(capsys):
     ]
 
 
+def test_cli_reproduce_accepts_every_packaged_name(capsys):
+    assert run_cli(capsys, ["--json", "reproduce", "additive-3"]) == run_cli(
+        capsys, ["--json", "reproduce", "additive-p", "--p", "3"])
+
+
 @pytest.mark.parametrize("name", ["id10253", "two-planes"])
 def test_cli_reproduce_bundled_models_exactly(name, capsys):
     code, out = run_cli(capsys, ["reproduce", name, "--json"])
@@ -329,6 +334,86 @@ def test_cli_verify_from_file_manifest(tmp_path, capsys):
     )
     assert code == 0
     assert "verdict: ok" in out
+
+
+def test_cli_negative_codim_is_an_input_error(capsys):
+    code, out = run_cli(
+        capsys, ["sepvar", "connectivity", "-m", "additive-2", "--codim", "-1"])
+    assert code == 2
+    assert out.splitlines() == ["error: --codim must be nonnegative"]
+
+
+def test_cli_differences_without_invariants_is_an_input_error(tmp_path, capsys):
+    doc = valid_doc()
+    del doc["invariants"], doc["candidates"]
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(
+        capsys, ["cmdef", "-m", str(path), "--ideal", "differences"])
+    assert code == 2
+    assert out.splitlines() == ["error: the model was built without invariants"]
+
+
+def test_cli_value_error_in_a_handler_propagates(monkeypatch):
+    def broken(*args):
+        raise ValueError("a bug, not an input error")
+
+    monkeypatch.setattr(cli, "k_reflections", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["group", "analyze", "-m", "additive-2"])
+
+
+# The exit code of every class in sepinv.errors, or None where cli.main lets
+# the exception propagate.  A class missing here fails the test below.
+EXIT_CODES = {
+    "SepinvError": None,
+    "InputError": 2,
+    "ResourceCapExceeded": 3,
+    "InternalError": 1,
+    "NonPrimeCharacteristic": 2,
+    "ReducibleModulus": 2,
+    "MissingModulus": 2,
+    "DivisionByZero": None,
+    "EnumerationCapExceeded": 3,
+    "PolynomialSyntaxError": 2,
+    "UnknownVariable": 2,
+    "RingMismatch": 2,
+    "DimensionMismatch": 2,
+    "UnitIdeal": 2,
+    "NonHomogeneousInput": 2,
+    "GroupCapExceeded": 3,
+    "NotGeneratedByFixedPointElements": None,
+    "VarietyNotPreserved": 2,
+    "NotInvariant": 2,
+    "EquivalenceViolation": 1,
+    "InternalInconsistency": 1,
+    "InvalidArgument": 2,
+    "ManifestError": 2,
+    "CapsEnvironmentError": 2,
+}
+PREFIXES = {1: "internal consistency: ", 2: "error: ", 3: "resource cap: "}
+
+
+def test_cli_exit_code_of_every_error_class(monkeypatch, capsys):
+    classes = {name: obj for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.SepinvError)}
+    assert set(classes) == set(EXIT_CODES)
+    special = {"PolynomialSyntaxError": ("boom", 3),
+               "NotInvariant": ("f", "g")}
+    for name, cls in classes.items():
+        exc = cls(*special.get(name, ("boom",)))
+
+        def fail(spec, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "_load_model", fail)
+        argv = ["group", "analyze", "-m", "additive-2"]
+        want = EXIT_CODES[name]
+        if want is None:
+            with pytest.raises(cls):
+                main(argv)
+            continue
+        assert run_cli(capsys, argv) == (want, f"{PREFIXES[want]}{exc}\n"), name
 
 
 def test_cli_resource_cap_exit_code():

@@ -1,5 +1,6 @@
 """Tests for polynomial arithmetic, parsing, and affine maps."""
 
+import itertools
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from .oracles import (
     grevlex_key,
     lex_key,
     naive_add,
+    naive_apply,
     naive_from,
     naive_mul,
     naive_pow,
@@ -29,6 +31,7 @@ from .oracles import (
 F2 = make_field(2)
 F5 = make_field(5)
 F4 = make_field(2, 2, [1, 1, 1])
+F9 = make_field(3, 2, [1, 0, 1])
 
 R5 = PolynomialRing(F5, ("x", "y", "z"))
 R2 = PolynomialRing(F2, ("x1", "x2", "x3", "x4"))
@@ -231,6 +234,26 @@ def test_order_keys_and_lcm_agree_with_tuple_oracle(data):
     assert ring.unpack(lcm) == tuple(max(x, y) for x, y in zip(a, b))
 
 
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_order_keys_are_additive(data):
+    """key(a * b) = key(a) + key(b) - key(1): resolution levels rely on it."""
+    n = data.draw(st.integers(1, 5))
+    simple = st.sampled_from([GREVLEX, LEX])
+    order = data.draw(st.one_of(
+        simple,
+        st.builds(Block, st.integers(0, n), simple, simple),
+    ))
+    ring = PolynomialRing(F5, tuple(f"x{i}" for i in range(n)), order)
+    a = [data.draw(st.one_of(st.sampled_from([0, 127]), st.integers(0, 127)))
+         for _ in range(n)]
+    b = [data.draw(st.integers(0, 127 - x)) for x in a]
+    total = [x + y for x, y in zip(a, b)]
+    key = ring.key
+    assert key(ring.pack(total)) == (
+        key(ring.pack(a)) + key(ring.pack(b)) - key(0))
+
+
 def test_evaluate_prime_field():
     f = R5.parse("x^2*y + 2*z + 1")
     assert f.evaluate((2, 3, 1)) == (4 * 3 + 2 + 1) % 5
@@ -304,6 +327,29 @@ def test_affine_map_group_operations():
     ident = AffineMap.identity(F5, n)
     assert ident.is_identity()
     assert ident.compose(ident) == ident
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_affine_inverse_round_trips_and_singular_matrices_raise(data):
+    field = data.draw(st.sampled_from([F2, F5, F4, F9]))
+    n = data.draw(st.integers(1, 3))
+    entry = st.integers(0, field.order - 1)
+    matrix = [[data.draw(entry) for _ in range(n)] for _ in range(n)]
+    translation = [data.draw(entry) for _ in range(n)]
+    points = list(itertools.product(range(field.order), repeat=n))
+    origin = (0,) * n
+    if any(naive_apply(matrix, origin, v, field) == origin for v in points[1:]):
+        with pytest.raises(ValueError, match="not invertible"):
+            AffineMap(field, matrix, translation)
+        return
+    sigma = AffineMap(field, matrix, translation)
+    tau = sigma.inverse()
+    assert sigma.compose(tau).is_identity()
+    assert tau.compose(sigma).is_identity()
+    for pt in points[::7]:
+        image = naive_apply(matrix, translation, pt, field)
+        assert naive_apply(tau.matrix, tau.translation, image, field) == pt
 
 
 def test_affine_map_matches_pointwise_action():

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepinv import (
     Caps,
@@ -20,10 +21,15 @@ from sepinv.errors import (
     ResourceCapExceeded,
     UnitIdeal,
 )
-from sepinv.poly import is_homogeneous
+from sepinv.poly import GREVLEX, LEX, Block, is_homogeneous
 from sepinv.resolution import _Chain, _Level
 
-from .oracles import GradedQuotient, binomial_dim, koszul_projective_dimension
+from .oracles import (
+    GradedQuotient,
+    binomial_dim,
+    koszul_projective_dimension,
+    level_key,
+)
 
 F2 = make_field(2)
 F5 = make_field(5)
@@ -303,6 +309,35 @@ def test_level_key_compares_images_then_prefers_the_smaller_component():
     wide = _Level(ring, _Level(ring), [x, y, z, x, y])
     ranked = sorted(range(5), key=lambda c: wide.key(ring.term(c, 0)), reverse=True)
     assert ranked == [0, 3, 1, 4, 2]
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_level_keys_follow_the_recursive_definition(data):
+    n = data.draw(st.integers(1, 4))
+    simple = st.sampled_from([GREVLEX, LEX])
+    order = data.draw(st.one_of(
+        simple,
+        st.builds(Block, st.integers(0, n), simple, simple),
+    ))
+    ring = PolynomialRing(F5, tuple(f"x{i}" for i in range(n)), order)
+    # at most 3 * 24 from the leads plus 55 from the term: below 128
+    lead_exps = st.lists(st.integers(0, 24), min_size=n, max_size=n).map(tuple)
+    term_exps = st.lists(st.integers(0, 55), min_size=n, max_size=n).map(tuple)
+    level, leads, count = _Level(ring), [], 1
+    for _ in range(data.draw(st.integers(2, 3))):
+        row = data.draw(st.lists(
+            st.tuples(st.integers(0, count - 1), lead_exps),
+            min_size=1, max_size=9))
+        level = _Level(ring, level,
+                       [ring.term(c, ring.pack(e)) for c, e in row])
+        leads.append(row)
+        count = len(row)
+    for _ in range(8):
+        c = data.draw(st.integers(0, count - 1))
+        exps = data.draw(term_exps)
+        assert level.key(ring.term(c, ring.pack(exps))) == level_key(
+            lambda e: ring.key(ring.pack(e)), leads, c, exps)
 
 
 def test_resolution_pair_cap_counts_every_level():

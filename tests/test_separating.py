@@ -43,7 +43,7 @@ def test_is_invariant(id10253):
 
 def test_candidate_container():
     ring = PolynomialRing(F5, ("x1",))
-    cand = SeparatingCandidate("demo", [ring.parse("x1")], note="why not")
+    cand = SeparatingCandidate("demo", [ring.parse("x1")])
     assert len(cand) == 1
     assert list(cand) == [ring.parse("x1")]
     assert "demo" in repr(cand)
