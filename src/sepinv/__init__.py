@@ -8,7 +8,7 @@ Cohen-Macaulay defects through minimal graded free resolutions.
 
 from .config import Caps
 from .errors import SepinvError
-from .field import FieldElement, enumerate_elements, make_field
+from .field import FieldElement, make_field
 from .groebner import Ideal, groebner_basis, normal_form
 from .group import (
     FiniteGroup,
@@ -77,7 +77,6 @@ __all__ = [
     "compose_affine",
     "connected_in_codim",
     "connectivity_equivalence_check",
-    "enumerate_elements",
     "enumerate_group",
     "fixed_locus_codim",
     "generated_by",

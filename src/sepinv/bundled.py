@@ -17,6 +17,7 @@ Each model's expected values live beside it under `data/expected/`.
 import json
 from importlib import resources
 
+from .config import Caps
 from .errors import ManifestError
 from .manifest import Manifest
 
@@ -31,7 +32,7 @@ def names():
                   if p.name.endswith(".json"))
 
 
-def load(name, p=None):
+def load(name, p=None, caps=Caps()):
     """Build a packaged model by name; `additive-p` takes its prime from p."""
     if name == "additive-p":
         name = f"additive-{2 if p is None else p}"
@@ -41,4 +42,4 @@ def load(name, p=None):
                             "models: " + ", ".join(known))
     doc = json.loads(_manifests().joinpath(name + ".json")
                      .read_text(encoding="utf-8"))
-    return Manifest.from_dict(doc).build()
+    return Manifest.from_dict(doc, caps).build()

@@ -20,7 +20,7 @@ import sys
 import time
 from importlib import resources
 
-from . import bundled
+from . import bundled, config
 from .bundled import names as bundled_manifest_names
 from .errors import (
     InputError,
@@ -61,11 +61,11 @@ def _jsonable(value):
     return value
 
 
-def _load_model(spec):
-    """A manifest path, or the name of a bundled manifest."""
+def _load_model(spec, caps):
+    """A manifest path, or the name of a bundled manifest, built under caps."""
     if spec in bundled_manifest_names():
-        return bundled.load(spec)
-    return Manifest.from_path(spec).build()
+        return bundled.load(spec, caps=caps)
+    return Manifest.from_path(spec, caps).build()
 
 
 def _expected_checks(name):
@@ -171,8 +171,8 @@ def _flatten(facts):
 # -- subcommand handlers -----------------------------------------------------
 
 
-def _cmd_group_analyze(args):
-    bm = _load_model(args.manifest)
+def _cmd_group_analyze(args, caps):
+    bm = _load_model(args.manifest, caps)
     variety, group = bm.variety, bm.group
     dim = variety.dimension()
     table = {str(k): len(k_reflections(group, variety, k))
@@ -208,8 +208,8 @@ def _cmd_group_analyze(args):
     return results, True, lines
 
 
-def _cmd_sepvar_build(args):
-    bm = _load_model(args.manifest)
+def _cmd_sepvar_build(args, caps):
+    bm = _load_model(args.manifest, caps)
     components = bm.model.graph_components()
     elements = list(bm.group.elements)
     rows = []
@@ -238,8 +238,8 @@ def _cmd_sepvar_build(args):
     return results, True, lines
 
 
-def _cmd_sepvar_connectivity(args):
-    bm = _load_model(args.manifest)
+def _cmd_sepvar_connectivity(args, caps):
+    bm = _load_model(args.manifest, caps)
     if args.codim < 0:
         raise InvalidArgument("--codim must be nonnegative")
     report = connectivity_equivalence_check(bm.model, args.codim)
@@ -274,8 +274,8 @@ def _named_ideal(bm, name):
     raise ManifestError(f"unknown ideal {name!r}; known: {', '.join(known)}")
 
 
-def _cmd_cmdef(args):
-    bm = _load_model(args.manifest)
+def _cmd_cmdef(args, caps):
+    bm = _load_model(args.manifest, caps)
     ideal = _named_ideal(bm, args.ideal)
     res = minimal_free_resolution(ideal)
     nvars = ideal.ring.nvars
@@ -311,7 +311,7 @@ def _cmd_cmdef(args):
 
 
 def _field_for_points(bm, spec):
-    """Build the field named by --points, e.g. '8' or '2^3'."""
+    """Build the field named by --points, e.g. '8' or '2^3', under bm's caps."""
     p = bm.ring.field.p
     text = spec.strip()
     try:
@@ -338,14 +338,14 @@ def _field_for_points(bm, spec):
         return make_field(p)
     for modulus in _monic_polys(exp, p):
         try:
-            return make_field(p, exp, modulus)
+            return make_field(p, exp, modulus, caps=bm.variety.caps)
         except ReducibleModulus:
             continue
     raise InternalInconsistency(f"no irreducible modulus found for {spec}")
 
 
-def _cmd_verify(args):
-    bm = _load_model(args.manifest)
+def _cmd_verify(args, caps):
+    bm = _load_model(args.manifest, caps)
     if args.set not in bm.candidates:
         known = ", ".join(sorted(bm.candidates)) or "none"
         raise ManifestError(f"unknown candidate set {args.set!r}; "
@@ -375,8 +375,8 @@ def _cmd_verify(args):
     return results, verdict, lines
 
 
-def _cmd_audit(args):
-    bm = _load_model(args.manifest)
+def _cmd_audit(args, caps):
+    bm = _load_model(args.manifest, caps)
     report = reflection_audit(
         bm.model,
         candidates=list(bm.candidates.values()),
@@ -410,8 +410,8 @@ def _cmd_audit(args):
     return results, report.reflection_bound is not None, lines
 
 
-def _cmd_reproduce(args):
-    bm = bundled.load(args.name, args.p)
+def _cmd_reproduce(args, caps):
+    bm = bundled.load(args.name, args.p, caps)
     expected = _expected_checks(bm.name)
     actual = _flatten(model_facts(bm))
     rows = []
@@ -532,7 +532,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        results, verdict, lines = args.handler(args)
+        caps = config.from_env()
+        results, verdict, lines = args.handler(args, caps)
     except ResourceCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return RESOURCE

@@ -1,7 +1,9 @@
 """Resource caps. Runaway computations fail loudly instead of truncating.
 
-Every cap can be overridden through an environment variable so that the CLI
-and the test-suite share one knob set:
+A `Caps` value travels with the objects it bounds: a manifest builds its
+field, group, variety and ideals under its caps, and each ideal and variety
+hands its caps to what it derives.  Library callers pass `Caps(...)` or get
+the defaults; the CLI reads these variables once per run, via `from_env`:
 
     SEPINV_PAIR_CAP    maximum S-pairs processed in one Groebner run, and
                        syzygy pairs formed in one free resolution
@@ -12,8 +14,7 @@ and the test-suite share one knob set:
     SEPINV_POINT_CAP   maximum q^n of the coordinate tuples in a point check,
                        checked before the scan
 
-The variables are read when caps are needed, not at import, so a malformed
-value surfaces as a CapsEnvironmentError where the caller can report it.
+A malformed value raises CapsEnvironmentError from `from_env`.
 """
 
 import os
@@ -44,7 +45,7 @@ class Caps:
 
 
 def from_env():
-    """The caps in force when a caller passes none."""
+    """The caps the SEPINV_* variables set, defaults for those unset."""
     return Caps(
         pair_cap=_env_int("SEPINV_PAIR_CAP", Caps.pair_cap),
         degree_cap=min(_env_int("SEPINV_DEGREE_CAP", Caps.degree_cap), 127),

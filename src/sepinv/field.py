@@ -26,18 +26,19 @@ t^3 + t^2 + t + 1)), so g is the least raw element from t upwards whose
 (q-1)/r-th power is not 1 for any prime r dividing q-1.  The tables are
 filled by q-1 multiplications by g, each the sum of two looked-up
 images under x -> x*g: of the low and of the high half of x's digits.
-They hold O(q) integers, so `make_field` refuses fields above `enum_cap`
-(SEPINV_ENUM_CAP), the same cap that bounds element enumeration.
+They hold O(q) integers, so `make_field` refuses fields above its caps'
+`enum_cap` (SEPINV_ENUM_CAP), the cap that bounds element enumeration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from . import config
+from .config import Caps
 from .errors import (
     DivisionByZero,
     EnumerationCapExceeded,
+    InvalidArgument,
     MissingModulus,
     NonPrimeCharacteristic,
     ReducibleModulus,
@@ -120,10 +121,6 @@ class Field:
     @property
     def order(self):
         return self.p ** self.e
-
-    @property
-    def char(self):
-        return self.p
 
     # -- raw arithmetic ------------------------------------------------------
 
@@ -235,12 +232,11 @@ class Field:
             raise MissingModulus("prime fields have no extension generator")
         return FieldElement(self, self.p)  # raw encoding of t
 
-    def enumerate_raw(self, cap=None):
-        limit = config.from_env().enum_cap if cap is None else cap
-        if self.order > limit:
+    def enumerate_raw(self, cap=Caps.enum_cap):
+        if self.order > cap:
             raise EnumerationCapExceeded(
                 f"enumerate_raw: field has {self.order} elements, exceeding "
-                f"enum_cap {limit} (SEPINV_ENUM_CAP)"
+                f"enum_cap {cap} (SEPINV_ENUM_CAP)"
             )
         return range(self.order)
 
@@ -376,28 +372,28 @@ def _log_tables(f):
     return q1, log, exp, zech
 
 
-def make_field(p, e=1, modulus=None, gen_name="t"):
+def make_field(p, e=1, modulus=None, gen_name="t", caps=Caps()):
     """Build a validated finite field F_{p^e}.
 
     `modulus` is a coefficient list, low-degree first, required iff e > 1;
     it must be monic of degree e and irreducible over F_p.  An extension
-    field of more than enum_cap (SEPINV_ENUM_CAP) elements is refused:
-    its log tables grow with its order.
+    field of more than `caps.enum_cap` elements is refused: its log
+    tables grow with its order.
     """
     if not is_prime(p):
         raise NonPrimeCharacteristic(f"{p} is not prime")
     if e < 1:
-        raise ValueError("extension degree must be >= 1")
+        raise InvalidArgument("extension degree must be >= 1")
     if e == 1:
         if modulus is not None:
-            raise ValueError("prime fields take no modulus")
+            raise InvalidArgument("prime fields take no modulus")
         return Field(p, 1)
     if modulus is None:
         raise MissingModulus(f"degree-{e} extension needs a modulus")
     modulus = tuple(c % p for c in modulus)
     if len(modulus) != e + 1 or modulus[-1] != 1:
         raise ReducibleModulus(f"modulus must be monic of degree {e}")
-    cap = config.from_env().enum_cap
+    cap = caps.enum_cap
     if p ** e > cap:
         raise EnumerationCapExceeded(
             f"make_field: field has {p ** e} elements, exceeding enum_cap "
@@ -406,8 +402,3 @@ def make_field(p, e=1, modulus=None, gen_name="t"):
     _check_irreducible(modulus, p, e)
     f = Field(p, e, modulus, gen_name)
     return Field(p, e, modulus, gen_name, _log_tables(f))
-
-
-def enumerate_elements(f, cap=None):
-    """All p^e elements of f, zero first, in a fixed deterministic order."""
-    return [FieldElement(f, raw) for raw in f.enumerate_raw(cap)]

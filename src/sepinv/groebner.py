@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 
-from . import config
+from .config import Caps
 from .errors import ResourceCapExceeded, RingMismatch, UnitIdeal
 from .poly import GREVLEX, Block, Polynomial, PolynomialRing
 
@@ -168,9 +168,8 @@ def s_polynomial(f, g):
 # Buchberger
 # ---------------------------------------------------------------------------
 
-def groebner_basis(gens, caps=None):
+def groebner_basis(gens, caps=Caps()):
     """Reduced Groebner basis, sorted by increasing leading monomial."""
-    caps = caps or config.from_env()
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
@@ -285,13 +284,13 @@ def interreduce(polys):
 class Ideal:
     """An ideal of a polynomial ring, with cached canonical bases."""
 
-    def __init__(self, ring, gens, caps=None):
+    def __init__(self, ring, gens, caps=Caps()):
         for g in gens:
             if g.ring != ring:
                 raise RingMismatch("generator outside the ring")
         self.ring = ring
         self.gens = tuple(g for g in gens if not g.is_zero())
-        self.caps = caps or config.from_env()
+        self.caps = caps
         self._gb = {}
         self._dim = None
         self._resolution = None  # set by resolution.minimal_free_resolution

@@ -12,11 +12,12 @@ from __future__ import annotations
 import itertools
 import math
 
-from . import config
+from .config import Caps
 from .errors import (
     DimensionMismatch,
     EnumerationCapExceeded,
     GroupCapExceeded,
+    InvalidArgument,
     NotGeneratedByFixedPointElements,
     RingMismatch,
     UnitIdeal,
@@ -57,16 +58,15 @@ class FiniteGroup:
         return f"FiniteGroup(order {self.order}, dimension {self.n})"
 
 
-def enumerate_group(generators, caps=None):
+def enumerate_group(generators, caps=Caps()):
     """Close a generator list under composition.
 
     Breadth-first over words in the generators, ties broken by generator
     order, so two runs with the same input produce the same element list.
     """
-    caps = caps or config.from_env()
     generators = list(generators)
     if not generators:
-        raise ValueError("at least one generator is required")
+        raise InvalidArgument("at least one generator is required")
     field = generators[0].field
     n = generators[0].n
     for g in generators:
@@ -86,7 +86,7 @@ def generated_by(group, subset):
     subset = list(subset)
     for s in subset:
         if s not in group:
-            raise ValueError("subset element outside the group")
+            raise InvalidArgument("subset element outside the group")
     return len(_closure(group.identity, subset)) == len(group)
 
 
@@ -127,9 +127,9 @@ class VarietyPresentation:
     affine space: the single zero ideal.
     """
 
-    def __init__(self, ring, components=None, caps=None):
+    def __init__(self, ring, components=None, caps=Caps()):
         self.ring = ring
-        self.caps = caps or config.from_env()
+        self.caps = caps
         if not components:
             components = [Ideal(ring, [], self.caps)]
         comps = []
@@ -246,7 +246,7 @@ def k_reflections(group, variety, k):
     The identity is always included, since its fixed locus is everything.
     """
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise InvalidArgument("k must be nonnegative")
     return [s for s in group if fixed_locus_codim(s, variety) <= k]
 
 
@@ -283,26 +283,26 @@ def variety_pairwise_codim(variety, i, j):
 def variety_connected_in_codim(variety, k):
     """Is X's component graph connected when edges need codim <= k?"""
     if k < 0:
-        raise ValueError("k must be nonnegative")
+        raise InvalidArgument("k must be nonnegative")
     count = len(variety.components)
     return _graph_connected(
         count, lambda a, b: variety_pairwise_codim(variety, a, b) <= k
     )
 
 
-def variety_points(variety, field=None, caps=None):
+def variety_points(variety, field=None):
     """All points of the variety with coordinates in the given field.
 
     The field may be an extension of the base field's prime field.  The
-    q^n coordinate tuples are capped by `point_cap` before the scan
-    starts.  The scan assigns x_1, ..., x_n in turn and tests each
+    q^n coordinate tuples are capped by the variety's `point_cap` before
+    the scan starts.  The scan assigns x_1, ..., x_n in turn and tests each
     generator as soon as its last variable is set, so a prefix that no
     component can contain is dropped with all its completions.  Past the
     last variable any generator uses, every completion is a point.
     Points come out in `itertools.product` order.
     """
     fld = field or variety.ring.field
-    caps = caps or variety.caps
+    caps = variety.caps
     n = variety.ring.nvars
     total = fld.order ** n
     if total > caps.point_cap:

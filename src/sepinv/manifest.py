@@ -33,6 +33,7 @@ substituting the invariants gives zero.
 
 import json
 
+from .config import Caps
 from .errors import (
     DimensionMismatch,
     ManifestError,
@@ -111,14 +112,14 @@ class BundledModel:
 
 
 class Manifest:
-    """A fully validated model description, ready to build."""
+    """A validated model description, built under the caps it was read with."""
 
     __slots__ = ("schema", "name", "field", "ring", "doubled_ring",
                  "generators", "components", "invariants", "candidates",
-                 "ideals", "relations")
+                 "ideals", "relations", "caps")
 
     def __init__(self, schema, name, field, ring, doubled_ring, generators,
-                 components, invariants, candidates, ideals, relations):
+                 components, invariants, candidates, ideals, relations, caps):
         self.schema = schema
         self.name = name
         self.field = field
@@ -130,9 +131,10 @@ class Manifest:
         self.candidates = candidates
         self.ideals = ideals
         self.relations = relations
+        self.caps = caps
 
     @classmethod
-    def from_dict(cls, doc):
+    def from_dict(cls, doc, caps=Caps()):
         """Validate a parsed JSON document into a Manifest."""
         _expect(doc, dict, "manifest")
         unknown = set(doc) - _TOP_KEYS
@@ -157,7 +159,7 @@ class Manifest:
             _expect(modulus, list, "field.modulus")
             modulus = [_int(c, "field.modulus") for c in modulus]
         try:
-            field = make_field(p, e, modulus)
+            field = make_field(p, e, modulus, caps=caps)
         except (NonPrimeCharacteristic, MissingModulus, ReducibleModulus,
                 ValueError) as exc:
             _fail("field", str(exc))
@@ -267,10 +269,10 @@ class Manifest:
                 relations[key] = relation.substitute(images)
 
         return cls(schema, name, field, ring, doubled, generators,
-                   components, invariants, candidates, ideals, relations)
+                   components, invariants, candidates, ideals, relations, caps)
 
     @classmethod
-    def from_path(cls, path):
+    def from_path(cls, path, caps=Caps()):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
@@ -278,10 +280,11 @@ class Manifest:
             raise ManifestError(f"cannot read {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
-        return cls.from_dict(doc)
+        return cls.from_dict(doc, caps)
 
-    def build(self, caps=None):
+    def build(self):
         """Construct the model this manifest describes."""
+        caps = self.caps
         group = enumerate_group(self.generators, caps)
         component_ideals = None
         if self.components is not None:

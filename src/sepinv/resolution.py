@@ -405,9 +405,8 @@ class FreeResolution:
         return "\n".join(lines)
 
 
-def minimal_free_resolution(ideal, caps=None):
+def minimal_free_resolution(ideal):
     """Minimal graded free resolution of R/I for a homogeneous ideal I."""
-    caps = caps or ideal.caps
     ring = ideal.ring
     for g in ideal.gens:
         if is_homogeneous(g) is None:
@@ -428,7 +427,7 @@ def minimal_free_resolution(ideal, caps=None):
     while cur:
         if len(columns) > ring.nvars + 2:
             raise InternalInconsistency("syzygy cascade failed to terminate")
-        nxt, syz = _syzygy_level(level, cur, caps, counter)
+        nxt, syz = _syzygy_level(level, cur, ideal.caps, counter)
         syz = _interreduce(syz, ring, nxt.key)
         syz = _sort_basis(syz, ring)
         if syz:

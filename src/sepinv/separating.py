@@ -85,7 +85,7 @@ def verify_separating_symbolic(candidate, model):
         ambient = model.variety.ideal()
         gens += [model.inject_x(g) for g in ambient.gens]
         gens += [model.inject_y(g) for g in ambient.gens]
-    return _same_radical(Ideal(model.doubled_ring, gens, model.caps), model)
+    return _same_radical(Ideal(model.doubled_ring, gens, model.variety.caps), model)
 
 
 def _same_radical(ideal, model):

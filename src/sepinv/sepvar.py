@@ -90,7 +90,6 @@ class SepVarietyModel:
         variety.check_group_action(group)
         self.variety = variety
         self.group = group
-        self.caps = variety.caps
         self.base_ring = ring
         y_names = _mirror_names(ring.variables)
         self.doubled_ring = PolynomialRing(
@@ -145,7 +144,7 @@ class SepVarietyModel:
                 for g in self.variety.ideal().gens:
                     gens.append(self.inject_x(g))
                     gens.append(self.inject_y(g))
-            self._difference = Ideal(self.doubled_ring, gens, self.caps)
+            self._difference = Ideal(self.doubled_ring, gens, self.variety.caps)
         return self._difference
 
     # -- graph components ---------------------------------------------------
@@ -158,7 +157,7 @@ class SepVarietyModel:
         for j in range(n):
             image = compose_affine(self.base_ring.var(j), sigma)
             gens.append(self.doubled_ring.var(n + j) - self.inject_x(image))
-        return Ideal(self.doubled_ring, gens, self.caps)
+        return Ideal(self.doubled_ring, gens, self.variety.caps)
 
     def graph_components(self):
         """Deduplicated graph components, in group enumeration order.
@@ -271,7 +270,7 @@ class SepVarietyModel:
         """
         fld = field or self.base_ring.field
         pairs = set()
-        for pt in variety_points(self.variety, fld, self.caps):
+        for pt in variety_points(self.variety, fld):
             for image in orbit(self.group, pt, fld):
                 pairs.add((pt, image))
         return sorted(pairs)
@@ -291,7 +290,7 @@ def connected_in_codim(obj, k):
     """
     if isinstance(obj, SepVarietyModel):
         if k < 0:
-            raise ValueError("k must be nonnegative")
+            raise InvalidArgument("k must be nonnegative")
         count = len(obj.graph_components())
         return _graph_connected(
             count, lambda a, b: obj.pairwise_intersection_codim(a, b) <= k
@@ -309,10 +308,6 @@ class EquivalenceReport:
     sepvar_connected: bool
     variety_connected: bool
     reflections_generate: bool
-
-    @property
-    def combined(self):
-        return self.variety_connected and self.reflections_generate
 
 
 def connectivity_equivalence_check(model, k):

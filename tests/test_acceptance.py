@@ -14,7 +14,6 @@ from sepinv import (
     AffineMap,
     Ideal,
     PolynomialRing,
-    SeparatingCandidate,
     SepVarietyModel,
     VarietyPresentation,
     cohen_macaulay_defect,
@@ -23,7 +22,6 @@ from sepinv import (
     fixed_locus_codim,
     hilbert_numerator,
     is_invariant,
-    k_reflections,
     make_field,
     min_reflection_number,
     minimal_free_resolution,
@@ -33,8 +31,7 @@ from sepinv import (
 )
 from sepinv.config import Caps
 from sepinv.errors import GroupCapExceeded
-from sepinv.groebner import groebner_basis, normal_form, s_polynomial
-from sepinv.group import generated_by
+from sepinv.groebner import groebner_basis, normal_form
 
 from .oracles import koszul_projective_dimension, naive_from
 from .test_groebner import is_reduced_basis, spolys_reduce_to_zero

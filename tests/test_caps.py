@@ -1,0 +1,133 @@
+"""Caps enter a run in one place and travel with the objects they bound.
+
+The CLI reads the SEPINV_* variables once, in `cli.main`; the subprocess
+tests in test_manifest_cli.py show that every variable still takes effect
+there.  Library calls use the caps their caller passes, or `Caps()`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import sepinv
+from sepinv import (
+    AffineMap,
+    Caps,
+    PolynomialRing,
+    connected_in_codim,
+    enumerate_group,
+    k_reflections,
+    make_field,
+    variety_connected_in_codim,
+)
+from sepinv.errors import (
+    EnumerationCapExceeded,
+    GroupCapExceeded,
+    InvalidArgument,
+)
+from sepinv.groebner import groebner_basis
+from sepinv.group import generated_by
+from sepinv.manifest import Manifest
+from sepinv.poly import LEX
+
+SRC = Path(sepinv.__file__).resolve().parent
+
+
+def f16_doc():
+    return {
+        "name": "f16-line",
+        "field": {"p": 2, "e": 4, "modulus": [1, 1, 0, 0, 1]},
+        "n": 1,
+        "generators": [{"matrix": [[1]], "translation": [1]}],
+    }
+
+
+def test_library_calls_ignore_the_environment(monkeypatch):
+    monkeypatch.setenv("SEPINV_PAIR_CAP", "1")
+    monkeypatch.setenv("SEPINV_ENUM_CAP", "8")
+    ring = PolynomialRing(make_field(5), ("x", "y", "z"), LEX)
+    # two S-pairs, one more than SEPINV_PAIR_CAP allows
+    gens = [ring.parse("x^2 - y"), ring.parse("x^3 - z")]
+    assert groebner_basis(gens) == groebner_basis(gens, Caps())
+    assert make_field(2, 4, [1, 1, 0, 0, 1]).order == 16
+
+
+def test_a_manifest_builds_its_field_and_model_under_its_caps():
+    with pytest.raises(EnumerationCapExceeded,
+                       match=r"^make_field: field has 16 elements"):
+        Manifest.from_dict(f16_doc(), Caps(enum_cap=8))
+    manifest = Manifest.from_dict(f16_doc(), Caps(group_cap=1))
+    assert manifest.field.order == 16
+    with pytest.raises(GroupCapExceeded, match="group_cap 1 "):
+        manifest.build()
+    bm = Manifest.from_dict(f16_doc(), Caps(point_cap=99)).build()
+    assert bm.variety.caps == Caps(point_cap=99)
+    assert all(i.caps == Caps(point_cap=99) for i in bm.variety.components)
+
+
+def test_bad_arguments_raise_invalid_argument(two_planes):
+    model = two_planes.model
+    variety, group = model.variety, model.group
+    outside = AffineMap(variety.ring.field, [[2, 0, 0, 0], [0, 2, 0, 0],
+                                              [0, 0, 2, 0], [0, 0, 0, 2]])
+    table = [
+        (lambda: k_reflections(group, variety, -1), "k must be nonnegative"),
+        (lambda: variety_connected_in_codim(variety, -1),
+         "k must be nonnegative"),
+        (lambda: connected_in_codim(model, -1), "k must be nonnegative"),
+        (lambda: enumerate_group([]), "at least one generator is required"),
+        (lambda: generated_by(group, [outside]),
+         "subset element outside the group"),
+        (lambda: make_field(2, 0), "extension degree must be >= 1"),
+        (lambda: make_field(5, 1, [1, 0]), "prime fields take no modulus"),
+    ]
+    for call, message in table:
+        with pytest.raises(InvalidArgument) as info:
+            call()
+        assert str(info.value) == message
+        assert isinstance(info.value, ValueError)
+
+
+# -- the one path, as a lint rule --------------------------------------------
+
+
+def _modules():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _callers(node, name, where="<module>"):
+    """The function around each call of `name`, bare or as an attribute."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    if isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+        yield where
+    for child in ast.iter_child_nodes(node):
+        yield from _callers(child, name, where)
+
+
+def test_only_cli_main_reads_the_cap_variables():
+    calls = [(mod, fn) for mod, tree in _modules()
+             for fn in _callers(tree, "from_env")]
+    assert calls == [("cli", "main")]
+    readers = {mod for mod, tree in _modules() for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)
+               and node.attr in ("environ", "getenv")}
+    assert readers == {"config"}
+
+
+def test_field_groebner_and_group_take_only_the_caps_type_from_config():
+    for mod, tree in _modules():
+        if mod not in ("field", "groebner", "group"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any("config" in a.name for a in node.names), mod
+            elif isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+                if node.module == "config":
+                    assert names == {"Caps"}, mod
+                else:
+                    assert "config" not in names, mod

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sepinv import make_field
+from sepinv import Caps, make_field
 from sepinv.errors import (
     DivisionByZero,
     EnumerationCapExceeded,
@@ -11,7 +11,7 @@ from sepinv.errors import (
     NonPrimeCharacteristic,
     ReducibleModulus,
 )
-from sepinv.field import enumerate_elements, is_prime
+from sepinv.field import is_prime
 
 from .oracles import naive_field_ops
 
@@ -31,7 +31,6 @@ def test_is_prime_small_values():
 
 def test_prime_field_basic_ops():
     assert F5.order == 5
-    assert F5.char == 5
     assert F5.add(3, 4) == 2
     assert F5.sub(1, 3) == 3
     assert F5.mul(3, 4) == 2
@@ -148,11 +147,6 @@ def test_enumerate_raw_order_and_cap():
     assert len(F9.enumerate_raw()) == 9
     with pytest.raises(EnumerationCapExceeded):
         F8.enumerate_raw(cap=4)
-    with pytest.raises(EnumerationCapExceeded):
-        enumerate_elements(F8, cap=7)
-    elems = enumerate_elements(F4)
-    assert [e.raw for e in elems] == [0, 1, 2, 3]
-    assert all(e.field is F4 for e in elems)
 
 
 def test_equal_fields_compare_equal():
@@ -243,13 +237,13 @@ def test_extension_arithmetic_agrees_with_digit_oracle(field, data):
         assert field.pow(a, k) == naive_pow(a, k)
 
 
-def test_make_field_refuses_fields_above_enum_cap(monkeypatch):
+def test_make_field_refuses_fields_above_enum_cap():
     # the cap is checked before the modulus is tested for irreducibility
     with pytest.raises(EnumerationCapExceeded,
                        match=r"make_field: field has 131072 elements, "
                              r"exceeding enum_cap 65536 \(SEPINV_ENUM_CAP\)"):
         make_field(2, 17, [1, 0, 0, 1] + [0] * 13 + [1])
-    monkeypatch.setenv("SEPINV_ENUM_CAP", "8")
-    assert make_field(2, 3, [1, 1, 0, 1]) == F8
+    caps = Caps(enum_cap=8)
+    assert make_field(2, 3, [1, 1, 0, 1], caps=caps) == F8
     with pytest.raises(EnumerationCapExceeded, match="make_field: .* 16 "):
-        make_field(2, 4, [1, 1, 0, 0, 1])
+        make_field(2, 4, [1, 1, 0, 0, 1], caps=caps)

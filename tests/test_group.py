@@ -228,7 +228,8 @@ def test_variety_points_counts(two_planes):
         match=r"^variety_points: 625 candidate points exceed point_cap 10 "
         r"\(SEPINV_POINT_CAP\)$",
     ):
-        variety_points(two_planes.variety, caps=Caps(point_cap=10))
+        variety_points(VarietyPresentation(
+            two_planes.ring, two_planes.variety.components, Caps(point_cap=10)))
 
 
 def test_variety_points_obeys_the_presentations_enum_cap():

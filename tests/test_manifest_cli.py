@@ -403,7 +403,7 @@ def test_cli_exit_code_of_every_error_class(monkeypatch, capsys):
     for name, cls in classes.items():
         exc = cls(*special.get(name, ("boom",)))
 
-        def fail(spec, exc=exc):
+        def fail(spec, caps, exc=exc):
             raise exc
 
         monkeypatch.setattr(cli, "_load_model", fail)

@@ -285,7 +285,7 @@ def test_cohen_macaulay_defect_reuses_the_resolution(monkeypatch):
     I = Ideal(R3v, [R3v.parse("x*y"), R3v.parse("x*z")])
     res = minimal_free_resolution(I)
 
-    def again(ideal, caps=None):
+    def again(ideal):
         raise AssertionError("the ideal was resolved twice")
 
     monkeypatch.setattr(resolution, "minimal_free_resolution", again)
@@ -341,12 +341,13 @@ def test_level_keys_follow_the_recursive_definition(data):
 
 
 def test_resolution_pair_cap_counts_every_level():
-    I = Ideal(R3v, [R3v.parse("x"), R3v.parse("y"), R3v.parse("z")])
+    gens = [R3v.parse("x"), R3v.parse("y"), R3v.parse("z")]
     # three syzygy pairs on the first level, a fourth on the second
     with pytest.raises(
         ResourceCapExceeded,
         match=r"^minimal_free_resolution: 4 syzygy pairs exceed pair_cap 3 "
               r"\(SEPINV_PAIR_CAP\)$",
     ):
-        minimal_free_resolution(I, Caps(pair_cap=3))
-    assert minimal_free_resolution(I, Caps(pair_cap=4)).betti_numbers() == [1, 3, 3, 1]
+        minimal_free_resolution(Ideal(R3v, gens, Caps(pair_cap=3)))
+    res = minimal_free_resolution(Ideal(R3v, gens, Caps(pair_cap=4)))
+    assert res.betti_numbers() == [1, 3, 3, 1]

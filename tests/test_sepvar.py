@@ -172,7 +172,8 @@ def test_equivalence_check_two_planes(two_planes):
     for k in range(0, 3):
         report = connectivity_equivalence_check(model, k)
         assert report.k == k
-        assert report.sepvar_connected == report.combined
+        assert report.sepvar_connected == (
+            report.variety_connected and report.reflections_generate)
     assert connectivity_equivalence_check(model, 2).sepvar_connected
     assert not connectivity_equivalence_check(model, 1).sepvar_connected
     assert not connectivity_equivalence_check(model, 1).reflections_generate
