@@ -311,7 +311,11 @@ def _cmd_cmdef(args, caps):
 
 
 def _field_for_points(bm, spec):
-    """Build the field named by --points, e.g. '8' or '2^3', under bm's caps."""
+    """The field named by --points, e.g. '8' or '2^3', under bm's caps.
+
+    The manifest's own field when the order is its order, else F_{p^e}
+    on the first irreducible modulus.
+    """
     p = bm.ring.field.p
     text = spec.strip()
     try:
@@ -334,6 +338,8 @@ def _field_for_points(bm, spec):
         raise ManifestError(
             f"--points {spec!r} is not a power of the base characteristic {p}"
         )
+    if p ** exp == bm.ring.field.order:
+        return bm.ring.field
     if exp == 1:
         return make_field(p)
     for modulus in _monic_polys(exp, p):

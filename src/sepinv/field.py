@@ -149,6 +149,22 @@ class Field:
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
+    def submul(self, a, b, c):
+        """a - b*c in one step: the coefficient update of every reduction."""
+        if self.e == 1:
+            return (a - b * c) % self.p
+        if not b or not c:
+            return a
+        q1, log, exp, zech = self._tables
+        if zech is None:
+            return a ^ exp[log[b] + log[c]]
+        lm = (log[b] + log[c] + (q1 >> 1)) % q1  # -b*c = g^lm
+        if not a:
+            return exp[lm]
+        la = log[a]
+        z = zech[lm - la]
+        return exp[la + z] if z >= 0 else 0
+
     def mul(self, a, b):
         if self.e == 1:
             return (a * b) % self.p

@@ -91,7 +91,7 @@ def _reduce(work, buckets, ring, key, quots):
                     if old is None:
                         old = 0
                         push(heap, (-key(s), s))
-                    work[s] = fld.sub(old, fld.mul(factor, ct))
+                    work[s] = fld.submul(old, factor, ct)
                 break
         else:
             rem[t] = c

@@ -1,30 +1,41 @@
 """Minimal graded free resolutions and depth invariants.
 
 The resolution is built in two stages.  First an iterated syzygy
-construction: a reduced Groebner basis presents the ideal, and the
-syzygies of a basis, computed with induced module orders, are again a
-Groebner basis of the syzygy module, so the construction repeats until
-it runs dry.  Ordering each level by component and then by decreasing
-lex of the lead monomial makes every level lose one more variable from
-its lead terms, which bounds the length by the variable count.  Second,
-the resulting complex is far from minimal, so constant entries in the
-differentials are cleared by a change of basis that splits off trivial
-two-term complexes until none remain.
+construction on Schreyer's frame: a reduced Groebner basis presents the
+ideal, and the syzygies of a basis, computed with induced module orders,
+are again a Groebner basis of the syzygy module, so the construction
+repeats until it runs dry.  The induced order fixes the lead of every
+pair's syzygy before any reduction, e_i * lcm(m_i, m_j)/m_i for i < j, so
+only the pairs whose leads are minimal are formed and reduced; every other
+pair's syzygy has a lead that a kept one divides (Erocal, Motsak, Schreyer
+and Steenpass 2016).  Ordering each level by component and then by
+decreasing lex of the lead monomial makes every level lose one more
+variable from its lead terms, which bounds the length by the variable
+count.  Second, the resulting complex is far from minimal, so constant
+entries in the differentials are cleared by a change of basis that splits
+off trivial two-term complexes until none remain.
 
 Module elements are tuples of (packed module term, coefficient), in the
 encoding of `poly`, and every module reduction runs through the reducer in
 `groebner` with the level's induced order as its key: reduction in a free
-module is polynomial reduction within one component.
+module is polynomial reduction within one component.  The chain complex
+keeps the same packed terms: a column of a differential is a dict
+{packed term: coefficient} whose component is the row, and a
+`FreeResolution` turns a differential into rows of polynomials only when
+`matrix` asks for it.
 
 Everything here requires homogeneous input; the grading is what makes
 "minimal" well defined and lets depth be read off the length via the
-graded form of the Auslander-Buchsbaum formula.
+graded form of the Auslander-Buchsbaum formula.  The Hilbert numerator
+that cross-checks every resolution comes from the lead-term ideal alone,
+by Bigatti's pivot recursion.
 """
 
 from __future__ import annotations
 
 from .errors import (
     InternalInconsistency,
+    InvalidArgument,
     NonHomogeneousInput,
     ResourceCapExceeded,
     UnitIdeal,
@@ -98,14 +109,21 @@ def _sort_basis(elems, ring):
 
 
 def _syzygy_level(level, elems, caps, counter):
-    """All pairwise syzygies of a monic module Groebner basis.
+    """The frame syzygies of a monic module Groebner basis.
 
     Returns (next level, syzygy elements in next-level coordinates).
-    The division remainders must vanish; anything else means the input
-    was not a Groebner basis and the cascade is invalid.
+    Under the next level's order the syzygy of a pair i < j in one
+    component leads with e_i * u, u = lcm(m_i, m_j) / m_i, since ties go
+    to the smaller component.  For each i only one pair per minimal
+    generator u of the monomial ideal (m_j : m_i), j > i, is reduced: any
+    other pair's lead is a multiple of a kept lead, so the kept syzygies are
+    already a Groebner basis of the syzygy module.  The division remainders
+    must vanish; anything else means the input was not a Groebner basis and
+    the cascade is invalid.
     """
     ring = level.ring
     fld = ring.field
+    guard = ring.guard
     leads = [e[0][0] for e in elems]
     if len(set(leads)) != len(leads):
         raise InternalInconsistency("duplicate lead term in module basis")
@@ -115,20 +133,24 @@ def _syzygy_level(level, elems, caps, counter):
     out = []
     for c in sorted(buckets):
         group = buckets[c]
-        for a in range(len(group)):
-            for b in range(a + 1, len(group)):
-                li, _, _, i = group[a]
-                lj, _, _, j = group[b]
+        for a, (li, _, _, i) in enumerate(group):
+            # both leads lie in component c, and so does their lcm
+            first = {}
+            for lj, _, _, j in group[a + 1:]:
+                first.setdefault(ring.mono_lcm(li, lj) - li, j)
+            frame = []
+            for u in sorted(first, key=ring.key):  # divisors come first
+                if not any(((u | guard) - v) & guard == guard for v in frame):
+                    frame.append(u)
+            for ui in frame:
+                j = first[ui]
                 counter[0] += 1
                 if counter[0] > caps.pair_cap:
                     raise ResourceCapExceeded(
                         f"minimal_free_resolution: {counter[0]} syzygy pairs "
                         f"exceed pair_cap {caps.pair_cap} (SEPINV_PAIR_CAP)"
                     )
-                # both leads lie in component c, and so does their lcm
-                L = ring.mono_lcm(li, lj)
-                ui = L - li
-                uj = L - lj
+                uj = li + ui - leads[j]
                 work = _s_vector(elems[i], ui, 1, elems[j], uj, 1, ring)
                 quots = {}
                 if _reduce(work, buckets, ring, level.key, quots):
@@ -150,30 +172,32 @@ def _syzygy_level(level, elems, caps, counter):
 # ---------------------------------------------------------------------------
 
 class _Chain:
-    """Mutable complex with stable basis ids, as dict-of-columns matrices."""
+    """Mutable complex with stable basis ids.
+
+    d[k] maps a column id of F_k to its image in F_{k-1}, a dict
+    {packed module term: coefficient} whose component is the row id.
+    """
 
     def __init__(self, ring, columns):
         # columns[k] for k >= 1: canonical module elements, coordinates in F_{k-1}
         self.ring = ring
         self.live = [[0]]                # live basis ids per level
         self.shifts = [{0: 0}]           # id -> internal degree
-        self.d = [None]                  # d[k]: {col id: {row id: Polynomial}}
+        self.d = [None]
         for k in range(1, len(columns)):
-            ids = list(range(len(columns[k])))
-            self.live.append(ids)
+            below = self.shifts[k - 1]
+            self.live.append(list(range(len(columns[k]))))
             shifts = {}
             mats = {}
             for j, elem in enumerate(columns[k]):
                 c0, m0 = ring.split(elem[0][0])
-                deg = self.shifts[k - 1][c0] + ring.mono_degree(m0)
+                deg = below[c0] + ring.mono_degree(m0)
                 shifts[j] = deg
-                col = {}
-                for t, cf in elem:
+                for t, _ in elem:
                     c, m = ring.split(t)
-                    if self.shifts[k - 1][c] + ring.mono_degree(m) != deg:
+                    if below[c] + ring.mono_degree(m) != deg:
                         raise InternalInconsistency("inhomogeneous differential entry")
-                    col.setdefault(c, {})[m] = cf
-                mats[j] = {c: ring.from_dict(d) for c, d in col.items()}
+                mats[j] = dict(elem)
             self.shifts.append(shifts)
             self.d.append(mats)
 
@@ -197,43 +221,53 @@ class _Chain:
         self._trim()
 
     def _clear_one_unit(self, i, fld):
+        """Split off one unit entry of d_i by a change of basis.
+
+        The pivot is the first column, in id order, with a term of monomial
+        part 0, at the smallest such row; by homogeneity that entry is a lone
+        constant.  Every other column b then loses (entry_b / u) * col_c,
+        which clears its entry in the pivot row.
+        """
+        ring = self.ring
+        shift = ring.term_shift
+        guard = ring.guard
+        mono = (1 << shift) - 1
         d_i = self.d[i]
-        found = None
         for c in sorted(d_i):
-            col = d_i[c]
-            for r in sorted(col):
-                p = col[r]
-                if p.terms and len(p.terms) == 1 and p.terms[0][0] == 0:
-                    found = (r, c, p.terms[0][1])
-                    break
-            if found:
+            units = [t for t in d_i[c] if not t & mono]
+            if units:
                 break
-        if not found:
+        else:
             return False
-        r, c, u = found
-        uinv = fld.inv(u)
+        unit = min(units)
+        r = unit >> shift
         col_c = d_i.pop(c)
-        col_c.pop(r)
-        for b, colb in d_i.items():
-            brb = colb.pop(r, None)
-            if brb is None or brb.is_zero():
-                continue
-            factor = brb.scale(uinv)
-            for a, bac in col_c.items():
-                delta = bac * factor
-                cur = colb.get(a)
-                newp = (cur - delta) if cur is not None else -delta
-                if newp.is_zero():
-                    colb.pop(a, None)
-                else:
-                    colb[a] = newp
+        uinv = fld.inv(col_c.pop(unit))
+        lo, hi = unit, unit + (1 << shift)
+        for colb in d_i.values():
+            hits = [t for t in colb if lo <= t < hi]
+            for t in hits:
+                factor = fld.mul(colb.pop(t), uinv)
+                m = t - lo
+                for ta, ca in col_c.items():
+                    s = ta + m
+                    if s & guard:
+                        raise ResourceCapExceeded(
+                            "monomial overflow in minimalization")
+                    v = fld.submul(colb.get(s, 0), factor, ca)
+                    if v:
+                        colb[s] = v
+                    else:
+                        colb.pop(s, None)
         self.live[i].remove(c)
         self.shifts[i].pop(c)
         self.live[i - 1].remove(r)
         self.shifts[i - 1].pop(r)
         if i + 1 < len(self.d):
+            lo, hi = c << shift, (c + 1) << shift
             for colx in self.d[i + 1].values():
-                colx.pop(c, None)
+                for t in [t for t in colx if lo <= t < hi]:
+                    del colx[t]
         if i - 1 >= 1:
             self.d[i - 1].pop(r, None)
         return True
@@ -247,36 +281,34 @@ class _Chain:
     def check(self):
         """d_{i-1} after d_i must vanish, and no unit entries may remain.
 
-        Each column of a composite is summed as raw terms (row, monomial)
-        in one dict, which must come out empty.
+        Each column of a composite is summed as packed terms in one dict,
+        a lower term times an upper monomial, which must come out empty.
         """
         ring = self.ring
         fld = ring.field
         guard = ring.guard
+        shift = ring.term_shift
+        mono = (1 << shift) - 1
         for i in range(1, len(self.d)):
-            for c, col in self.d[i].items():
-                for r, p in col.items():
-                    if p.terms and len(p.terms) == 1 and p.terms[0][0] == 0:
-                        raise InternalInconsistency("unit entry survived minimalization")
+            for col in self.d[i].values():
+                if any(not t & mono for t in col):
+                    raise InternalInconsistency("unit entry survived minimalization")
         for i in range(2, len(self.d)):
             lower = self.d[i - 1]
             for col in self.d[i].values():
                 acc = {}
-                for r, p in col.items():
-                    for a, q in lower.get(r, {}).items():
-                        row = ring.term(a, 0)
-                        for mq, cq in q.terms:
-                            for mp, cp in p.terms:
-                                m = mq + mp
-                                if m & guard:
-                                    raise ResourceCapExceeded(
-                                        "monomial overflow in the differential check")
-                                t = row + m
-                                v = fld.add(acc.get(t, 0), fld.mul(cq, cp))
-                                if v:
-                                    acc[t] = v
-                                else:
-                                    del acc[t]
+                for tp, cp in col.items():
+                    mp = tp & mono
+                    for tq, cq in lower.get(tp >> shift, {}).items():
+                        t = tq + mp
+                        if t & guard:
+                            raise ResourceCapExceeded(
+                                "monomial overflow in the differential check")
+                        v = fld.submul(acc.get(t, 0), cq, cp)
+                        if v:
+                            acc[t] = v
+                        else:
+                            del acc[t]
                 if acc:
                     raise InternalInconsistency("composite differential is nonzero")
 
@@ -293,35 +325,70 @@ def _minimal_monos(monos, ring):
     return out
 
 
-def _mono_colon(m, g, ring):
-    em = ring.unpack(m)
-    eg = ring.unpack(g)
-    return ring.pack(tuple(max(a - b, 0) for a, b in zip(em, eg)))
+def _pivot(gens, ring):
+    """Bigatti's pivot for the minimal monomial generators `gens`.
+
+    Returns (gens of I + (p), gens of I : p, deg p) for p a power of a
+    variable x that occurs in the most generators, or None when no variable
+    occurs in two, that is when the generators are pairwise coprime.  The
+    power is the median x-exponent of the generators other than a pure
+    power of x; all of those lie below that pure power, so p is not in I.
+    """
+    exps = [ring.unpack(m) for m in gens]
+    counts = [sum(1 for e in exps if e[v]) for v in range(ring.nvars)]
+    if max(counts, default=0) < 2:
+        return None
+    v = counts.index(max(counts))
+    x = ring.var(v).leading_monomial()
+    powers = sorted(e[v] for e in exps if e[v] and sum(e) != e[v])
+    k = powers[len(powers) // 2]
+    p = k * x
+    plus = frozenset([p] + [m for m in gens if not ring.mono_divides(p, m)])
+    colon = _minimal_monos(
+        [m - min(e[v], k) * x for m, e in zip(gens, exps)], ring)
+    return plus, frozenset(colon), k
 
 
 def _kpoly(gens, ring, memo):
-    if not gens:
-        return {0: 1}
-    if 0 in gens:
-        return {}
-    cached = memo.get(gens)
-    if cached is not None:
-        return cached
-    g = max(gens, key=lambda m: (ring.mono_degree(m), m))
-    rest = frozenset(gens - {g})
-    a = _kpoly(rest, ring, memo)
-    colon = frozenset(_minimal_monos([_mono_colon(m, g, ring) for m in rest], ring))
-    b = _kpoly(colon, ring, memo)
-    out = dict(a)
-    dg = ring.mono_degree(g)
-    for d, cnt in b.items():
-        v = out.get(d + dg, 0) - cnt
-        if v:
-            out[d + dg] = v
+    """Hilbert numerator of R/(gens) for minimal monomial generators.
+
+    HN(I) = HN(I + (p)) + t^deg(p) * HN(I : p) for the pivot p of `_pivot`.
+    Both sides have a smaller total exponent sum, so the split ends, at
+    pairwise coprime generators, whose numerator is the product of the
+    (1 - t^deg m).  It runs on an explicit stack, so a large ideal cannot
+    exhaust Python's recursion limit; `memo` maps generator sets to their
+    numerators.
+    """
+    stack = [gens]
+    split = {}
+    while stack:
+        top = stack[-1]
+        if top in memo:
+            stack.pop()
+            continue
+        parts = split.get(top)
+        if parts is None:
+            parts = _pivot(top, ring)
+            if parts is not None:
+                split[top] = parts
+                stack += parts[:2]
+                continue
+            out = {0: 1}
+            for m in top:
+                dm = ring.mono_degree(m)
+                nxt = dict(out)
+                for d, cnt in out.items():
+                    nxt[d + dm] = nxt.get(d + dm, 0) - cnt
+                out = {d: c for d, c in nxt.items() if c}
         else:
-            out.pop(d + dg, None)
-    memo[gens] = out
-    return out
+            plus, colon, k = parts
+            out = dict(memo[plus])
+            for d, cnt in memo[colon].items():
+                out[d + k] = out.get(d + k, 0) + cnt
+            out = {d: c for d, c in out.items() if c}
+        memo[top] = out
+        stack.pop()
+    return memo[gens]
 
 
 def hilbert_numerator(ideal):
@@ -350,10 +417,12 @@ class FreeResolution:
     is the differential F_k -> F_{k-1} as rows over the target basis.
     """
 
-    def __init__(self, ring, shifts, matrices):
+    def __init__(self, ring, shifts, columns):
+        # columns[k - 1]: (row ids, d_k's columns as term tuples, in order)
         self.ring = ring
         self.shifts = shifts
-        self._matrices = matrices
+        self._columns = columns
+        self._matrices = {}
 
     @property
     def length(self):
@@ -370,8 +439,23 @@ class FreeResolution:
         return out
 
     def matrix(self, k):
-        """Differential d_k as a list of rows of polynomials."""
-        return self._matrices[k - 1]
+        """Differential d_k, 1 <= k <= length, as rows of polynomials."""
+        if not 1 <= k <= self.length:
+            raise InvalidArgument(
+                f"a resolution of length {self.length} has no d_{k}")
+        mat = self._matrices.get(k)
+        if mat is None:
+            ring = self.ring
+            rows, cols = self._columns[k - 1]
+            index = {r: n for n, r in enumerate(rows)}
+            table = [[{} for _ in cols] for _ in rows]
+            for j, col in enumerate(cols):
+                for t, cf in col:
+                    r, m = ring.split(t)
+                    table[index[r]][j][m] = cf
+            mat = tuple(tuple(ring.from_dict(e) for e in row) for row in table)
+            self._matrices[k] = mat
+        return mat
 
     def euler_characteristic(self):
         """Alternating sum of shift monomials, as {degree: int}."""
@@ -440,21 +524,14 @@ def minimal_free_resolution(ideal):
     chain.check()
 
     shifts = []
-    matrices = []
-    zero = ring.zero()
+    columns = []
     for k in range(len(chain.live)):
         ids = sorted(chain.live[k])
         shifts.append(tuple(chain.shifts[k][i] for i in ids))
         if k >= 1:
-            prev_ids = sorted(chain.live[k - 1])
-            mat = []
-            for r in prev_ids:
-                row = []
-                for c in ids:
-                    row.append(chain.d[k].get(c, {}).get(r, zero))
-                mat.append(tuple(row))
-            matrices.append(tuple(mat))
-    res = FreeResolution(ring, shifts, matrices)
+            columns.append((sorted(chain.live[k - 1]),
+                            [tuple(chain.d[k][c].items()) for c in ids]))
+    res = FreeResolution(ring, shifts, columns)
 
     expected = hilbert_numerator(ideal)
     if res.euler_characteristic() != expected:

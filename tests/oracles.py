@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: dictionary polynomials with exponent
 tuples, dense row reduction over a prime field, and a degreewise Koszul
-homology computation for projective dimension.  None of it shares code with
-the package, so agreement is meaningful evidence.
+homology computation for projective dimension and graded Betti numbers.
+None of it shares code with the package, so agreement is meaningful
+evidence.
 """
 
 import itertools
@@ -199,13 +200,8 @@ class GradedQuotient:
         return [vec[i] for i in range(len(monos)) if i not in taken]
 
 
-def koszul_projective_dimension(nvars, gens, p, max_degree):
-    """pd(R/I) as the top nonvanishing Koszul homology H_i(x1..xn; R/I).
-
-    Scans internal degrees 0..max_degree; callers must pick max_degree
-    beyond the regularity range of the module (generous slack is cheap at
-    this scale).
-    """
+def _koszul_homology(nvars, gens, p):
+    """The function (i, d) -> dim H_i(x1..xn; R/I)_d, by Macaulay matrices."""
     quotient = GradedQuotient(nvars, gens, p)
     subsets = {i: list(itertools.combinations(range(nvars), i))
                for i in range(nvars + 1)}
@@ -233,27 +229,52 @@ def koszul_projective_dimension(nvars, gens, p, max_degree):
                 cols.append(row)
         return cols
 
+    def homology(i, d):
+        dim_i = len(subsets[i]) * quotient.dim(d - i)
+        if dim_i == 0:
+            return 0
+        rank_out = rank(differential(i, d), p) if i and quotient.dim(
+            d - i + 1) else 0
+        if i < nvars:
+            incoming = differential(i + 1, d)
+            rank_in = rank(incoming, p) if incoming and quotient.dim(
+                d - i - 1) else 0
+        else:
+            rank_in = 0
+        return dim_i - rank_out - rank_in
+
+    return homology
+
+
+def koszul_projective_dimension(nvars, gens, p, max_degree):
+    """pd(R/I) as the top nonvanishing Koszul homology H_i(x1..xn; R/I).
+
+    Scans internal degrees 0..max_degree; callers must pick max_degree
+    beyond the regularity range of the module (generous slack is cheap at
+    this scale).
+    """
+    homology = _koszul_homology(nvars, gens, p)
     top = 0
     for i in range(1, nvars + 1):
-        found = False
-        for d in range(max_degree + 1):
-            dim_i = len(subsets[i]) * quotient.dim(d - i)
-            if dim_i == 0:
-                continue
-            rank_out = rank(differential(i, d), p) if quotient.dim(
-                d - i + 1) else 0
-            if i < nvars:
-                incoming = differential(i + 1, d)
-                rank_in = rank(incoming, p) if incoming and quotient.dim(
-                    d - i - 1) else 0
-            else:
-                rank_in = 0
-            if dim_i - rank_out - rank_in > 0:
-                found = True
-                break
-        if found:
+        if any(homology(i, d) > 0 for d in range(max_degree + 1)):
             top = i
     return top
+
+
+def koszul_graded_betti(nvars, gens, p, max_degree):
+    """{(i, d): dim H_i(x1..xn; R/I)_d} for d <= max_degree, zeros left out.
+
+    H_i(x; R/I) is Tor_i(R/I, K), so these are the graded Betti numbers of
+    R/I, found without any resolution.
+    """
+    homology = _koszul_homology(nvars, gens, p)
+    out = {}
+    for i in range(nvars + 1):
+        for d in range(max_degree + 1):
+            b = homology(i, d)
+            if b:
+                out[(i, d)] = b
+    return out
 
 
 def hilbert_function(nvars, gens, p, degrees):

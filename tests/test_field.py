@@ -237,6 +237,17 @@ def test_extension_arithmetic_agrees_with_digit_oracle(field, data):
         assert field.pow(a, k) == naive_pow(a, k)
 
 
+@pytest.mark.parametrize("field", [F2, F5] + DIFFERENTIAL_FIELDS, ids=repr)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_submul_agrees_with_digit_oracle(field, data):
+    add, mul = naive_field_ops(field)
+    a, b, c = (data.draw(st.integers(0, field.order - 1), label=name)
+               for name in "abc")
+    # a - b*c is the x with x + b*c = a
+    assert add(field.submul(a, b, c), mul(b, c)) == a
+
+
 def test_make_field_refuses_fields_above_enum_cap():
     # the cap is checked before the modulus is tested for irreducibility
     with pytest.raises(EnumerationCapExceeded,

@@ -336,6 +336,19 @@ def test_cli_verify_from_file_manifest(tmp_path, capsys):
     assert "verdict: ok" in out
 
 
+def test_cli_verify_points_over_the_manifests_own_extension_field(tmp_path, capsys):
+    # F_16 = F_2[t]/(t^4 + t^3 + 1), not the first irreducible quartic
+    doc = valid_doc()
+    doc["field"] = {"p": 2, "e": 4, "modulus": [1, 0, 0, 1, 1]}
+    path = tmp_path / "swap16.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(
+        capsys, ["verify", "-m", str(path), "--set", "elementary", "--points", "16"]
+    )
+    assert code in (0, 1), out
+    assert "point check over the field with 16 elements" in out
+
+
 def test_cli_negative_codim_is_an_input_error(capsys):
     code, out = run_cli(
         capsys, ["sepvar", "connectivity", "-m", "additive-2", "--codim", "-1"])

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sepinv import (
     Caps,
@@ -17,6 +17,7 @@ from sepinv import (
 from sepinv import resolution
 from sepinv.errors import (
     InternalInconsistency,
+    InvalidArgument,
     NonHomogeneousInput,
     ResourceCapExceeded,
     UnitIdeal,
@@ -27,8 +28,10 @@ from sepinv.resolution import _Chain, _Level
 from .oracles import (
     GradedQuotient,
     binomial_dim,
+    koszul_graded_betti,
     koszul_projective_dimension,
     level_key,
+    monomials,
 )
 
 F2 = make_field(2)
@@ -85,6 +88,14 @@ def test_koszul_on_squares():
     assert res.graded_betti() == {(0, 0): 1, (1, 2): 3, (2, 4): 3, (3, 6): 1}
     assert res.euler_characteristic() == {0: 1, 2: -3, 4: 3, 6: -1}
     check_complex(res)
+
+
+def test_matrix_exists_only_for_the_differentials():
+    res = minimal_free_resolution(Ideal(R2v, [R2v.parse("x"), R2v.parse("y")]))
+    assert res.matrix(2) == ((R2v.parse("y"),), (-R2v.parse("x"),))
+    for k in (0, 3):
+        with pytest.raises(InvalidArgument, match=f"length 2 has no d_{k}"):
+            res.matrix(k)
 
 
 def test_zero_and_unit_ideals():
@@ -228,6 +239,26 @@ def test_resolution_agrees_with_koszul_homology_oracle():
         assert res.length == oracle_pd
 
 
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_graded_betti_numbers_match_koszul_homology(data):
+    p = data.draw(st.sampled_from([2, 3]), label="p")
+    ring = PolynomialRing(make_field(p), ("x", "y", "z"))
+    tables = []
+    for _ in range(data.draw(st.integers(1, 3), label="generators")):
+        d = data.draw(st.integers(1, 3), label="degree")
+        support = data.draw(st.lists(st.sampled_from(monomials(3, d)),
+                                     min_size=1, max_size=3, unique=True))
+        tables.append({e: data.draw(st.integers(1, p - 1)) for e in support})
+    I = Ideal(ring, [ring.from_dict({ring.pack(e): c for e, c in t.items()})
+                     for t in tables])
+    assume(not I.is_unit())
+    betti = minimal_free_resolution(I).graded_betti()
+    # two degrees past the top shift, where the oracle must find nothing more
+    top = max(d for _, d in betti) + 2
+    assert betti == koszul_graded_betti(3, tables, p, top)
+
+
 def test_graded_quotient_oracle_matches_engine_hilbert_function():
     # graded piece dimensions predicted by the numerator against brute force
     gens = [R3v.parse("x^2"), R3v.parse("x*y")]
@@ -268,15 +299,18 @@ def koszul_chain(ring):
 def test_chain_check_rejects_a_nonzero_composite():
     chain = koszul_chain(R3v)
     chain.check()
-    # d[k] maps column id -> row id -> entry; y becomes 2y in d_2
-    chain.d[2][0][0] = chain.d[2][0][0].scale(2)
+    # d[k] maps column id -> packed term (row id, monomial) -> coefficient;
+    # y becomes 2y in d_2
+    y = R3v.term(0, R3v.pack((0, 1, 0)))
+    chain.d[2][0][y] = F5.mul(chain.d[2][0][y], 2)
     with pytest.raises(InternalInconsistency, match="composite"):
         chain.check()
 
 
 def test_chain_check_rejects_a_unit_entry():
     chain = koszul_chain(R3v)
-    chain.d[3][0][1] = R3v.one()
+    # a constant term in row 1 of d_3's one column
+    chain.d[3][0][R3v.term(1, 0)] = 1
     with pytest.raises(InternalInconsistency, match="unit entry"):
         chain.check()
 
@@ -351,3 +385,30 @@ def test_resolution_pair_cap_counts_every_level():
         minimal_free_resolution(Ideal(R3v, gens, Caps(pair_cap=3)))
     res = minimal_free_resolution(Ideal(R3v, gens, Caps(pair_cap=4)))
     assert res.betti_numbers() == [1, 3, 3, 1]
+
+
+def test_resolution_pair_cap_counts_only_the_frame_pairs():
+    # m^18 in 3 variables: 360 pairs on the first level and 171 on the
+    # second, against 17,955 + 171 when every pair in a component is reduced
+    gens = [R3v.from_dict({R3v.pack(e): 1}) for e in monomials(3, 18)]
+    I = Ideal(R3v, gens)
+    # Buchberger counts its own S-pairs against the same cap, and there
+    # are far more of them, so the basis is computed under the defaults
+    I.groebner_basis()
+    I.caps = Caps(pair_cap=530)
+    with pytest.raises(
+        ResourceCapExceeded,
+        match=r"^minimal_free_resolution: 531 syzygy pairs exceed pair_cap 530 ",
+    ):
+        minimal_free_resolution(I)
+    I.caps = Caps(pair_cap=531)
+    res = minimal_free_resolution(I)
+    assert res.betti_numbers() == [1, 190, 360, 171]
+
+
+def test_hilbert_numerator_of_a_thousand_monomials_needs_no_recursion():
+    # every degree-44 monomial in 3 variables; one stack frame per generator
+    # would pass Python's recursion limit
+    gens = frozenset(R3v.pack(e) for e in monomials(3, 44))
+    assert len(gens) == 1035
+    assert resolution._kpoly(gens, R3v, {}) == {0: 1, 44: -1035, 45: 2024, 46: -990}
