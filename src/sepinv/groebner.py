@@ -232,12 +232,6 @@ def groebner_basis(gens, caps=Caps()):
                 f"groebner_basis: S-pair degree {deg} exceeds degree_cap "
                 f"{degree_cap} (SEPINV_DEGREE_CAP)"
             )
-        processed += 1
-        if processed > pair_cap:
-            raise ResourceCapExceeded(
-                f"groebner_basis: {processed} S-pairs exceed pair_cap "
-                f"{pair_cap} (SEPINV_PAIR_CAP)"
-            )
 
         # chain criterion: an intermediate basis element whose two pairs
         # are already treated makes this pair redundant
@@ -254,6 +248,13 @@ def groebner_basis(gens, caps=Caps()):
                 break
         if skip:
             continue
+        # only pairs whose S-vector is formed and reduced count
+        processed += 1
+        if processed > pair_cap:
+            raise ResourceCapExceeded(
+                f"groebner_basis: {processed} S-pairs exceed pair_cap "
+                f"{pair_cap} (SEPINV_PAIR_CAP)"
+            )
 
         work = _s_vector(basis[i], L - lms[i], inv_lcs[i],
                          basis[j], L - lms[j], inv_lcs[j], ring)

@@ -299,7 +299,15 @@ def variety_points(variety, field=None):
     generator as soon as its last variable is set, so a prefix that no
     component can contain is dropped with all its completions.  Past the
     last variable any generator uses, every completion is a point.
-    Points come out in `itertools.product` order.
+
+    A generator c*x_k + h(x_1, ..., x_{k-1}) with c a nonzero constant,
+    x_k in no other term, pins x_k: on its component x_k can only be
+    -h/c.  The first such generator of a component at level k is solved
+    for x_k instead of tested, so a level where every live component is
+    pinned tries only their pinned values, and a graph y = f(x) costs
+    one evaluation per point instead of q.  Points come out in
+    `itertools.product` order all the same, since the pinned values are
+    tried in ascending raw order, the order of the full scan.
     """
     fld = field or variety.ring.field
     caps = variety.caps
@@ -311,29 +319,51 @@ def variety_points(variety, field=None):
             f"{caps.point_cap} (SEPINV_POINT_CAP)"
         )
     values = fld.enumerate_raw(caps.enum_cap)
-    # tests[k][c]: component c's generators whose last variable is x_k
+    # pins[k][c]: component c's pin on x_k, a function of the prefix;
+    # tests[k][c]: evaluators of c's other generators with last variable x_k
+    pins = [[None] * len(variety.components) for _ in range(n)]
     tests = [[[] for _ in variety.components] for _ in range(n)]
     for c, comp in enumerate(variety.components):
         for g in comp.gens:
+            pairs = g.as_pairs()
             last = max(
-                (i for exps, _ in g.as_pairs() for i, e in enumerate(exps) if e),
+                (i for exps, _ in pairs for i, e in enumerate(exps) if e),
                 default=0,
             )
-            tests[last][c].append(g.evaluator(fld))
-    while tests and not any(tests[-1]):
+            top = [(exps, a) for exps, a in pairs if exps[last]]
+            if (pins[last][c] is None and len(top) == 1
+                    and sum(top[0][0]) == 1):
+                pins[last][c] = _pin(g, last, top[0][1], fld)
+            else:
+                tests[last][c].append(g.evaluator(fld))
+    while tests and not any(tests[-1]) and not any(pins[-1]):
         tests.pop()
+        pins.pop()
     points = []
-    _complete(points, [0] * n, 0, range(len(variety.components)), tests, values)
+    _complete(points, [0] * n, 0, range(len(variety.components)), pins,
+              tests, values)
     return points
 
 
-def _complete(points, prefix, k, live, tests, values):
+def _pin(g, k, coef, fld):
+    """x_k as a function of the prefix, for g = coef*x_k + h(x_1..x_{k-1})."""
+    h = g - g.ring.var(k).scale(coef)
+    value = h.evaluator(fld)
+    mul, scale = fld.mul, fld.neg(fld.inv(coef))
+    return lambda prefix: mul(scale, value(prefix))
+
+
+def _complete(points, prefix, k, live, pins, tests, values):
     """Append every point of the variety that extends prefix[:k].
 
-    `live` lists the components that may still contain the prefix, and
-    tests[j][c] the evaluators for component c's generators whose last
-    variable is x_j.  Past the last level of tests, every completion is
-    a point.
+    `live` lists the components that may still contain the prefix,
+    pins[j][c] component c's pin on x_j (or None), and tests[j][c] the
+    evaluators for its other generators whose last variable is x_j.  The
+    pins of the live components are solved once per prefix.  When all
+    are pinned, x_k runs over their distinct values in ascending raw
+    order, which keeps `itertools.product` order; otherwise over every
+    value.  A pinned component is alive at x only when x is its pin and
+    its tests vanish.  Past the last level, every completion is a point.
     """
     if k == len(tests):
         head = tuple(prefix[:k])
@@ -342,12 +372,18 @@ def _complete(points, prefix, k, live, tests, values):
             for tail in itertools.product(values, repeat=len(prefix) - k)
         )
         return
-    level = tests[k]
-    for x in values:
+    level, pinned = tests[k], pins[k]
+    solved = {c: pinned[c](prefix) for c in live if pinned[c] is not None}
+    if len(solved) == len(live):
+        tries = sorted(set(solved.values()))
+    else:
+        tries = values
+    for x in tries:
         prefix[k] = x
-        alive = [c for c in live if all(f(prefix) == 0 for f in level[c])]
+        alive = [c for c in live if solved.get(c, x) == x
+                 and all(f(prefix) == 0 for f in level[c])]
         if alive:
-            _complete(points, prefix, k + 1, alive, tests, values)
+            _complete(points, prefix, k + 1, alive, pins, tests, values)
 
 
 def orbit(group, point, field=None):

@@ -280,12 +280,6 @@ class Polynomial:
     def leading_coefficient(self):
         return self.terms[0][1]
 
-    def total_degree(self):
-        """-1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(self.ring.mono_degree(m) for m, _ in self.terms)
-
     def as_pairs(self):
         """Terms as (exponent tuple, raw coefficient), order-descending."""
         return [(self.ring.unpack(m), c) for m, c in self.terms]
@@ -528,9 +522,6 @@ class AffineMap:
     @classmethod
     def identity(cls, field, n):
         return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def is_identity(self):
-        return self == AffineMap.identity(self.field, self.n)
 
     def __eq__(self, other):
         return (

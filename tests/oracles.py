@@ -7,6 +7,7 @@ None of it shares code with the package, so agreement is meaningful
 evidence.
 """
 
+import functools
 import itertools
 from math import comb
 
@@ -326,7 +327,10 @@ def naive_field_ops(field):
 
 def naive_value(table, point, field):
     """Value of an {exponent tuple: coefficient} polynomial at a raw point."""
-    add, mul = naive_field_ops(field)
+    return _value(table, point, *naive_field_ops(field))
+
+
+def _value(table, point, add, mul):
     total = 0
     for exps, c in table.items():
         v = c
@@ -339,10 +343,12 @@ def naive_value(table, point, field):
 
 def naive_variety_points(components, nvars, field):
     """Every coordinate tuple, in itertools.product order, at which all the
-    generators of some component vanish.  Components are lists of tables."""
+    generators of some component vanish.  Components are lists of tables.
+    The digit-by-digit sums and products are memoised: a scan repeats them."""
+    add, mul = map(functools.cache, naive_field_ops(field))
     return [
         pt for pt in itertools.product(range(field.p ** field.e), repeat=nvars)
-        if any(all(naive_value(g, pt, field) == 0 for g in comp)
+        if any(all(_value(g, pt, add, mul) == 0 for g in comp)
                for comp in components)
     ]
 

@@ -81,7 +81,8 @@ def test_normal_form_agrees_with_macaulay_matrix_oracle(p, order, data):
     gb = groebner_basis(gens)
     r = normal_form(f, gb)
     quotient = GradedQuotient(3, [naive_from(g) for g in gens], p)
-    assert not any(quotient.reduce(naive_from(f - r), f.total_degree()))
+    top = max(ring.mono_degree(m) for m, _ in f.terms)
+    assert not any(quotient.reduce(naive_from(f - r), top))
     leads = [g.leading_monomial() for g in gb]
     assert not any(ring.mono_divides(lead, m) for m, _ in r.terms for lead in leads)
     # the reducer emits terms in decreasing order; nothing re-sorts them
@@ -296,6 +297,19 @@ def test_groebner_caps_trigger():
         groebner_basis([R.parse("x*y + z^2"), R.parse("x*z")], Caps(degree_cap=2))
     # generous caps leave the answer unchanged
     assert groebner_basis(gens, Caps(pair_cap=10_000)) == groebner_basis(gens)
+
+
+def test_pair_cap_counts_only_the_reduced_pairs():
+    # m^18 in 3 variables is already a basis: the chain criterion skips all
+    # but 360 of its pairs, and only those are formed and reduced
+    gens = [R.from_dict({R.pack(e): 1}) for e in monomials(3, 18)]
+    assert groebner_basis(gens, Caps(pair_cap=360)) == groebner_basis(gens)
+    with pytest.raises(
+        ResourceCapExceeded,
+        match=r"^groebner_basis: 360 S-pairs exceed pair_cap 359 "
+              r"\(SEPINV_PAIR_CAP\)$",
+    ):
+        groebner_basis(gens, Caps(pair_cap=359))
 
 
 def test_ideal_serves_bases_in_other_orders():

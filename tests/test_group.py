@@ -26,9 +26,11 @@ from sepinv.errors import (
     EnumerationCapExceeded,
     GroupCapExceeded,
     NotGeneratedByFixedPointElements,
+    RingMismatch,
     VarietyNotPreserved,
 )
 from sepinv.group import generated_by, variety_pairwise_codim
+from sepinv.poly import Polynomial
 
 from .oracles import naive_from, naive_variety_points, rank
 
@@ -63,7 +65,7 @@ def test_symmetric_group_on_three_letters():
     cycle = perm_matrix(F7, (1, 2, 0))
     G = enumerate_group([swap, cycle])
     assert G.order == 6
-    assert G.elements[0].is_identity()
+    assert G.elements[0] == AffineMap.identity(F7, 3)
     assert G.identity in G
     for a in G:
         assert a.inverse() in G
@@ -246,17 +248,41 @@ def test_variety_points_obeys_the_presentations_enum_cap():
 
 # an irreducible quadratic in x1 over each base field: a component with no
 # rational point over F_p, though it has points over F_{p^2}
-POINTLESS = {2: "x1^2 + x1 + 1", 3: "x1^2 + 1", 5: "x1^2 + 2"}
-EXTENSIONS = {2: make_field(2, 2, [1, 1, 1]), 3: make_field(3, 2, [1, 0, 1])}
+POINTLESS = {2: "x1^2 + x1 + 1", 3: "x1^2 + 1", 5: "x1^2 + 2", 7: "x1^2 + 1"}
+EXTENSIONS = {2: make_field(2, 2, [1, 1, 1]), 3: make_field(3, 2, [1, 0, 1]),
+              5: make_field(5, 2, [2, 0, 1]), 7: make_field(7, 2, [1, 0, 1])}
 
 
 @st.composite
 def presentations(draw):
     """(variety, scan field): 1-3 components, each a proper ideal given by
-    1-2 polynomials of degree <= 2 per variable, some in x1 alone."""
+    1-4 generators.  A generator is a polynomial of degree <= 2 per
+    variable, some in x1 alone, or a pin c*x_k + h(x_1..x_{k-1}) on any
+    variable, with c any unit; a component may pin one variable twice, or
+    pin it and test it with a generator nonlinear in it.  Components of
+    each kind mix in one variety."""
     p = draw(st.sampled_from(sorted(POINTLESS)))
-    n = draw(st.integers(1, 3))
+    extend = draw(st.booleans())
+    # F_25^3 and F_49^3 are too many points for the brute-force scan
+    n = draw(st.integers(1, 2 if extend and p >= 5 else 3))
     ring = PolynomialRing(make_field(p), tuple(f"x{i + 1}" for i in range(n)))
+
+    def poly(used):
+        """A nonzero polynomial in x_1..x_used, constant when used is 0."""
+        terms = draw(st.lists(
+            st.tuples(st.lists(st.integers(0, 2), min_size=used,
+                               max_size=used),
+                      st.integers(1, p - 1)),
+            min_size=1, max_size=3))
+        return ring.from_dict({
+            ring.pack(exps + [0] * (n - used)): c for exps, c in terms
+        })
+
+    def pin(k, h=None):
+        if h is None:
+            h = poly(k) if draw(st.integers(0, 3)) else ring.zero()
+        return ring.var(k).scale(draw(st.integers(1, p - 1))) + h
+
     components = []
     for _ in range(draw(st.integers(1, 3))):
         if draw(st.integers(0, 4)) == 0:
@@ -264,20 +290,22 @@ def presentations(draw):
             continue
         gens = []
         for _ in range(draw(st.integers(1, 2))):
-            used = 1 if draw(st.booleans()) else n
-            terms = draw(st.lists(
-                st.tuples(st.lists(st.integers(0, 2), min_size=used,
-                                   max_size=used),
-                          st.integers(1, p - 1)),
-                min_size=1, max_size=3))
-            gens.append(ring.from_dict({
-                ring.pack(exps + [0] * (n - used)): c for exps, c in terms
-            }))
+            kind = draw(st.sampled_from(["free", "pin", "two pins", "pin+test"]))
+            if kind == "free":
+                gens.append(poly(1 if draw(st.booleans()) else n))
+                continue
+            # two pins on x1 agree or make the unit ideal: pin a later one
+            first = 1 if kind == "two pins" and n > 1 else 0
+            k = draw(st.integers(first, n - 1))
+            gens.append(pin(k))
+            if kind == "two pins":
+                gens.append(pin(k, poly(k)))
+            elif kind == "pin+test":
+                gens.append(ring.var(k) ** 2 + poly(k))
         ideal = Ideal(ring, gens)
         assume(not ideal.is_unit())
         components.append(ideal)
     variety = VarietyPresentation(ring, components)
-    extend = p in EXTENSIONS and draw(st.booleans())
     return variety, EXTENSIONS[p] if extend else ring.field
 
 
@@ -288,6 +316,60 @@ def test_variety_points_matches_brute_force_scan(case):
     tables = [[naive_from(g) for g in comp.gens] for comp in variety.components]
     want = naive_variety_points(tables, variety.n, field)
     assert variety_points(variety, field) == want
+
+
+def test_variety_points_solves_for_pinned_coordinates(two_planes, monkeypatch):
+    # the planes x1 -+ x3 = x2 -+ x4 = 0 pin x3 and x4: each prefix of
+    # length 2 or 3 costs one evaluation per live plane, where trying all
+    # 25 values of x3 and of x4 took 62,500
+    calls = [0]
+    evaluator = Polynomial.evaluator
+
+    def counting(self, field=None):
+        value = evaluator(self, field)
+
+        def counted(point):
+            calls[0] += 1
+            return value(point)
+
+        return counted
+
+    monkeypatch.setattr(Polynomial, "evaluator", counting)
+    F25 = EXTENSIONS[5]
+    points = variety_points(two_planes.variety, F25)
+    assert calls[0] <= 2500
+    monkeypatch.undo()
+    tables = [[naive_from(g) for g in comp.gens]
+              for comp in two_planes.variety.components]
+    assert points == naive_variety_points(tables, 4, F25)
+
+
+def test_variety_points_checks_caps_then_the_scan_field():
+    F4 = make_field(2, 2, [1, 1, 1])
+    F16 = make_field(2, 4, [1, 1, 0, 0, 1])
+    ring = PolynomialRing(F4, ("x", "y"))
+    line = [Ideal(ring, [ring.parse("x + y")])]  # pins y to x
+    assert variety_points(VarietyPresentation(ring, line)) == [
+        (a, a) for a in range(4)
+    ]
+    with pytest.raises(
+        EnumerationCapExceeded,
+        match=r"^variety_points: 256 candidate points exceed point_cap 255 ",
+    ):
+        variety_points(VarietyPresentation(ring, line, Caps(point_cap=255)),
+                       F16)
+    with pytest.raises(
+        EnumerationCapExceeded,
+        match=r"^enumerate_raw: field has 16 elements, exceeding enum_cap 15 ",
+    ):
+        variety_points(VarietyPresentation(ring, line, Caps(enum_cap=15)), F16)
+    # only a prime base field may be scanned over an extension
+    with pytest.raises(
+        RingMismatch,
+        match=r"^values must come from the coefficient field or an "
+              r"extension of its prime field$",
+    ):
+        variety_points(VarietyPresentation(ring, line), F16)
 
 
 def test_orbit_sizes_divide_group_order(two_planes):

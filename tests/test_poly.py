@@ -179,10 +179,7 @@ def test_scalar_scaling():
     assert R5.constant(7) == R5.constant(2)
 
 
-def test_total_degree_and_homogeneity():
-    assert R5.zero().total_degree() == -1
-    assert R5.one().total_degree() == 0
-    assert R5.parse("x*y^3 + z").total_degree() == 4
+def test_homogeneity():
     assert is_homogeneous(R5.parse("x^2 + y*z")) == 2
     assert is_homogeneous(R5.parse("x^2 + y")) is None
     assert is_homogeneous(R5.one()) == 0
@@ -322,10 +319,9 @@ def test_affine_map_group_operations():
             except ValueError:
                 continue
         tau = sigma.inverse()
-        assert sigma.compose(tau).is_identity()
-        assert tau.compose(sigma).is_identity()
+        assert sigma.compose(tau) == AffineMap.identity(F5, n)
+        assert tau.compose(sigma) == AffineMap.identity(F5, n)
     ident = AffineMap.identity(F5, n)
-    assert ident.is_identity()
     assert ident.compose(ident) == ident
 
 
@@ -345,8 +341,8 @@ def test_affine_inverse_round_trips_and_singular_matrices_raise(data):
         return
     sigma = AffineMap(field, matrix, translation)
     tau = sigma.inverse()
-    assert sigma.compose(tau).is_identity()
-    assert tau.compose(sigma).is_identity()
+    assert sigma.compose(tau) == AffineMap.identity(field, n)
+    assert tau.compose(sigma) == AffineMap.identity(field, n)
     for pt in points[::7]:
         image = naive_apply(matrix, translation, pt, field)
         assert naive_apply(tau.matrix, tau.translation, image, field) == pt

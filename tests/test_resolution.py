@@ -391,18 +391,12 @@ def test_resolution_pair_cap_counts_only_the_frame_pairs():
     # m^18 in 3 variables: 360 pairs on the first level and 171 on the
     # second, against 17,955 + 171 when every pair in a component is reduced
     gens = [R3v.from_dict({R3v.pack(e): 1}) for e in monomials(3, 18)]
-    I = Ideal(R3v, gens)
-    # Buchberger counts its own S-pairs against the same cap, and there
-    # are far more of them, so the basis is computed under the defaults
-    I.groebner_basis()
-    I.caps = Caps(pair_cap=530)
     with pytest.raises(
         ResourceCapExceeded,
         match=r"^minimal_free_resolution: 531 syzygy pairs exceed pair_cap 530 ",
     ):
-        minimal_free_resolution(I)
-    I.caps = Caps(pair_cap=531)
-    res = minimal_free_resolution(I)
+        minimal_free_resolution(Ideal(R3v, gens, Caps(pair_cap=530)))
+    res = minimal_free_resolution(Ideal(R3v, gens, Caps(pair_cap=531)))
     assert res.betti_numbers() == [1, 190, 360, 171]
 
 
