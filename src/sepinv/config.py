@@ -6,8 +6,10 @@ hands its caps to what it derives.  Library callers pass `Caps(...)` or get
 the defaults; the CLI reads these variables once per run, via `from_env`:
 
     SEPINV_PAIR_CAP    maximum S-pairs reduced in one Groebner run (pairs
-                       a criterion skips do not count), and syzygy pairs
-                       reduced in one free resolution
+                       a criterion skips do not count), and syzygies in
+                       one free resolution: pairs reduced for the
+                       non-linear part, plus each column of homological
+                       degree 2 or more with a Koszul factor
     SEPINV_DEGREE_CAP  maximum total degree of any intermediate term
     SEPINV_GROUP_CAP   maximum group order during closure enumeration
     SEPINV_ENUM_CAP    maximum field size for element enumeration, and for

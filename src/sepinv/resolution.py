@@ -1,19 +1,40 @@
 """Minimal graded free resolutions and depth invariants.
 
-The resolution is built in two stages.  First an iterated syzygy
-construction on Schreyer's frame: a reduced Groebner basis presents the
-ideal, and the syzygies of a basis, computed with induced module orders,
-are again a Groebner basis of the syzygy module, so the construction
-repeats until it runs dry.  The induced order fixes the lead of every
-pair's syzygy before any reduction, e_i * lcm(m_i, m_j)/m_i for i < j, so
-only the pairs whose leads are minimal are formed and reduced; every other
-pair's syzygy has a lead that a kept one divides (Erocal, Motsak, Schreyer
-and Steenpass 2016).  Ordering each level by component and then by
-decreasing lex of the lead monomial makes every level lose one more
-variable from its lead terms, which bounds the length by the variable
-count.  Second, the resulting complex is far from minimal, so constant
-entries in the differentials are cleared by a change of basis that splits
-off trivial two-term complexes until none remain.
+The resolution of R/I is built in three stages from the reduced Groebner
+basis of I.
+
+1. Split.  The basis splits into its linear forms l_1..l_r and the rest,
+   J.  The basis is reduced, so no term of J contains the lead variable of
+   any l_i, and the change of coordinates that sends each lead variable to
+   its l_i fixes J.  So l_1..l_r is a regular sequence on R/JR, J is a
+   Groebner basis on its own, and R/I is resolved by F(J) (x) K(l_1..l_r),
+   the tensor product of a minimal resolution of R/JR with the Koszul
+   complex of the linear forms (Eisenbud, *Commutative Algebra*, section
+   17).
+2. Cascade on J.  An iterated syzygy construction on Schreyer's frame: the
+   syzygies of a Groebner basis, computed with induced module orders, are
+   again a Groebner basis of the syzygy module, so the construction repeats
+   until it runs dry.  The induced order fixes the lead of every pair's
+   syzygy before any reduction, e_i * lcm(m_i, m_j)/m_i for i < j, so only
+   the pairs whose leads are minimal are formed and reduced; every other
+   pair's syzygy has a lead that a kept one divides (Erocal, Motsak,
+   Schreyer and Steenpass 2016).  Ordering each level by component and then
+   by decreasing lex of the lead monomial makes every level lose one more
+   variable from its lead terms, which bounds the length by the variable
+   count.  The resulting complex is far from minimal, so constant entries in
+   its differentials are cleared by a change of basis that splits off
+   trivial two-term complexes until none remain.
+3. Koszul tensor.  The basis of the product is every b (x) e_S, b in F(J)
+   and S a subset of the linear forms, and its differential is
+   D(b (x) e_S) = d(b) (x) e_S + (-1)^hdeg(b) b (x) d_K(e_S) with
+   d_K(e_S) = sum_t (-1)^(|S|-1-t) l_(S_t) e_(S minus S_t).  Both factors
+   are minimal and D adds only linear entries, so the product is minimal as
+   assembled.  r = 0 gives F(J) itself, and the zero ideal is resolved by R.
+
+Minimalization runs only on J's cascade.  Every certificate runs on the
+assembled complex: its entries must be homogeneous of the degrees its
+shifts say, its differentials must compose to zero with no unit entry, and
+the alternating sum of its shifts must equal the ideal's Hilbert numerator.
 
 Module elements are tuples of (packed module term, coefficient), in the
 encoding of `poly`, and every module reduction runs through the reducer in
@@ -32,6 +53,8 @@ by Bigatti's pivot recursion.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from .errors import (
     InternalInconsistency,
@@ -108,6 +131,16 @@ def _sort_basis(elems, ring):
     return sorted(elems, key=k)
 
 
+def _count_pair(counter, caps):
+    """Count one syzygy against the resolution's pair cap."""
+    counter[0] += 1
+    if counter[0] > caps.pair_cap:
+        raise ResourceCapExceeded(
+            f"minimal_free_resolution: {counter[0]} syzygy pairs "
+            f"exceed pair_cap {caps.pair_cap} (SEPINV_PAIR_CAP)"
+        )
+
+
 def _syzygy_level(level, elems, caps, counter):
     """The frame syzygies of a monic module Groebner basis.
 
@@ -144,12 +177,7 @@ def _syzygy_level(level, elems, caps, counter):
                     frame.append(u)
             for ui in frame:
                 j = first[ui]
-                counter[0] += 1
-                if counter[0] > caps.pair_cap:
-                    raise ResourceCapExceeded(
-                        f"minimal_free_resolution: {counter[0]} syzygy pairs "
-                        f"exceed pair_cap {caps.pair_cap} (SEPINV_PAIR_CAP)"
-                    )
+                _count_pair(counter, caps)
                 uj = li + ui - leads[j]
                 work = _s_vector(elems[i], ui, 1, elems[j], uj, 1, ring)
                 quots = {}
@@ -179,7 +207,8 @@ class _Chain:
     """
 
     def __init__(self, ring, columns):
-        # columns[k] for k >= 1: canonical module elements, coordinates in F_{k-1}
+        # columns[k] for k >= 1: module elements as term tuples or dicts,
+        # coordinates in F_{k-1}; column j of level k gets id j
         self.ring = ring
         self.live = [[0]]                # live basis ids per level
         self.shifts = [{0: 0}]           # id -> internal degree
@@ -190,14 +219,15 @@ class _Chain:
             shifts = {}
             mats = {}
             for j, elem in enumerate(columns[k]):
-                c0, m0 = ring.split(elem[0][0])
+                col = dict(elem)
+                c0, m0 = ring.split(next(iter(col)))
                 deg = below[c0] + ring.mono_degree(m0)
                 shifts[j] = deg
-                for t, _ in elem:
+                for t in col:
                     c, m = ring.split(t)
                     if below[c] + ring.mono_degree(m) != deg:
                         raise InternalInconsistency("inhomogeneous differential entry")
-                mats[j] = dict(elem)
+                mats[j] = col
             self.shifts.append(shifts)
             self.d.append(mats)
 
@@ -311,6 +341,59 @@ class _Chain:
                             del acc[t]
                 if acc:
                     raise InternalInconsistency("composite differential is nonzero")
+
+
+def _koszul_tensor(chain, lin, caps, counter):
+    """Columns of F (x) K(lin) for a minimal complex `chain` F, for `_Chain`.
+
+    `lin` lists the linear forms as term tuples.  Level n holds b (x) e_S
+    for hdeg(b) + |S| = n: F_n itself first, then the blocks by growing |S|,
+    each S in `combinations` order and b in id order within it.  Every
+    column of homological degree 2 or more that has a Koszul factor is a
+    syzygy, and counts against `pair_cap` before it is built.
+    """
+    ring = chain.ring
+    fld = ring.field
+    shift = ring.term_shift
+    r = len(lin)
+    neg = [tuple((t, fld.neg(c)) for t, c in form) for form in lin]
+    ranks = [{b: i for i, b in enumerate(sorted(ids))} for ids in chain.live]
+    top = len(ranks) - 1
+    subsets = [list(combinations(range(r), s)) for s in range(r + 1)]
+    base = {}  # (k, S) -> id of the first b (x) e_S in level k + |S|
+    columns = [None]
+    for n in range(top + r + 1):
+        blocks = []
+        start = 0
+        for s in range(max(0, n - top), min(n, r) + 1):
+            for S in subsets[s]:
+                base[n - s, S] = start
+                start += len(ranks[n - s])
+                blocks.append((n - s, S))
+        if not n:
+            continue
+        cols = []
+        for k, S in blocks:
+            s = len(S)
+            if k:
+                lower = chain.d[k]
+                below = ranks[k - 1]
+                off = base[k - 1, S]
+            for b, i in ranks[k].items():
+                if s and n >= 2:
+                    _count_pair(counter, caps)
+                col = {}
+                if k:  # d(b) (x) e_S
+                    for t, cf in lower[b].items():
+                        row = t >> shift
+                        col[t + ((off + below[row] - row) << shift)] = cf
+                for pos, v in enumerate(S):  # (-1)^k b (x) d_K(e_S)
+                    row = (base[k, S[:pos] + S[pos + 1:]] + i) << shift
+                    for m, cf in lin[v] if (k + s - 1 - pos) % 2 == 0 else neg[v]:
+                        col[row + m] = cf
+                cols.append(col)
+        columns.append(cols)
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -500,27 +583,25 @@ def minimal_free_resolution(ideal):
     gb = ideal.groebner_basis()
     if gb and gb[0].leading_monomial() == 0:
         raise UnitIdeal("R/I is the zero ring")
-    if not gb:
-        return FreeResolution(ring, [(0,)], [])
 
     # polynomial terms are module terms in component 0
-    columns = [None, _sort_basis([g.terms for g in gb], ring)]
+    basis = _sort_basis([g.terms for g in gb], ring)
+    lin = [e for e in basis if ring.mono_degree(e[0][0]) == 1]
+    cur = [e for e in basis if ring.mono_degree(e[0][0]) > 1]
+    columns = [None]
     level = _Level(ring)
-    cur = columns[1]
     counter = [0]
     while cur:
-        if len(columns) > ring.nvars + 2:
+        if len(columns) > ring.nvars + 1:
             raise InternalInconsistency("syzygy cascade failed to terminate")
+        columns.append(cur)
         nxt, syz = _syzygy_level(level, cur, ideal.caps, counter)
-        syz = _interreduce(syz, ring, nxt.key)
-        syz = _sort_basis(syz, ring)
-        if syz:
-            columns.append(syz)
-        cur = syz
+        cur = _sort_basis(_interreduce(syz, ring, nxt.key), ring)
         level = nxt
+    cascade = _Chain(ring, columns)
+    cascade.minimalize()
 
-    chain = _Chain(ring, columns)
-    chain.minimalize()
+    chain = _Chain(ring, _koszul_tensor(cascade, lin, ideal.caps, counter))
     chain.check()
 
     shifts = []

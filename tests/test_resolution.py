@@ -259,6 +259,82 @@ def test_graded_betti_numbers_match_koszul_homology(data):
     assert betti == koszul_graded_betti(3, tables, p, top)
 
 
+@settings(deadline=None, max_examples=60)
+@given(data=st.data())
+def test_linear_forms_tensor_back_in_as_a_koszul_complex(data):
+    # R/I = R/J (x) K(l): the oracle sees I as given, the engine splits the
+    # linear forms l off its reduced basis and resolves only the rest, J.
+    # The other generators use the first form's lead variable, so that
+    # variable leaves them only when the basis is reduced.
+    p = data.draw(st.sampled_from([2, 3]), label="p")
+    simple = st.sampled_from([GREVLEX, LEX])
+    order = data.draw(st.one_of(
+        simple, st.builds(Block, st.integers(1, 3), simple, simple)), label="order")
+    ring = PolynomialRing(make_field(p), ("x", "y", "z", "w"), order)
+    coefficient = st.integers(1, p - 1)
+
+    def table(degree, through=None):
+        pool = monomials(4, degree)
+        first = data.draw(st.sampled_from(
+            [e for e in pool if through is None or e[through]]))
+        rest = data.draw(st.lists(st.sampled_from(pool), max_size=2, unique=True))
+        return {e: data.draw(coefficient) for e in [first] + rest}
+
+    def poly(t):
+        return ring.from_dict({ring.pack(e): c for e, c in t.items()})
+
+    tables = [table(1) for _ in range(data.draw(st.integers(1, 2), label="linear"))]
+    lead = ring.unpack(poly(tables[0]).leading_monomial()).index(1)
+    tables += [table(data.draw(st.integers(2, 3), label="degree"), lead)
+               for _ in range(data.draw(st.integers(1, 2), label="others"))]
+    I = Ideal(ring, [poly(t) for t in tables])
+    assume(not I.is_unit())
+    res = minimal_free_resolution(I)
+    check_complex(res)
+    betti = res.graded_betti()
+    top = max(d for _, d in betti) + 2
+    assert betti == koszul_graded_betti(4, tables, p, top)
+
+
+def test_chain_check_runs_on_the_assembled_koszul_tensor(monkeypatch):
+    # (x, y^2, z^2): J = (y^2, z^2) tensored with K(x); negate the Koszul
+    # entry x of one column y^2 (x) e_x in d_2
+    I = Ideal(R3v, [R3v.parse("x"), R3v.parse("y^2"), R3v.parse("z^2")])
+    assert minimal_free_resolution(I).betti_numbers() == [1, 3, 3, 1]
+    assemble = resolution._koszul_tensor
+    x = R3v.pack((1, 0, 0))
+    mono = (1 << R3v.term_shift) - 1
+
+    def tampered(*args):
+        columns = assemble(*args)
+        col, t = next((c, t) for c in columns[2] if len(c) > 1
+                      for t in c if (t & mono) == x)
+        col[t] = F5.neg(col[t])
+        return columns
+
+    monkeypatch.setattr(resolution, "_koszul_tensor", tampered)
+    with pytest.raises(InternalInconsistency,
+                       match="^composite differential is nonzero$"):
+        minimal_free_resolution(Ideal(R3v, I.gens))
+
+
+@pytest.mark.parametrize("gens", [
+    ["x^2 - y*z", "3*x*y + z^2"],
+    ["x + 2*y - z", "x^2 - y*z", "3*x*y + z^2"],
+])
+def test_inject_into_an_extension_field_keeps_the_ideal(gens):
+    # a prime-field element keeps its raw int in F_{p^e}, so inject moves an
+    # ideal there unchanged: same reduced basis, same graded Betti numbers
+    F25 = make_field(5, 2, [2, 0, 1])
+    R25 = PolynomialRing(F25, R3v.variables)
+    I = Ideal(R3v, [R3v.parse(g) for g in gens])
+    J = Ideal(R25, [g.inject(R25, (0, 1, 2)) for g in I.gens])
+    assert [g.terms for g in J.groebner_basis()] == [
+        g.terms for g in I.groebner_basis()]
+    assert minimal_free_resolution(J).graded_betti() == (
+        minimal_free_resolution(I).graded_betti())
+
+
 def test_graded_quotient_oracle_matches_engine_hilbert_function():
     # graded piece dimensions predicted by the numerator against brute force
     gens = [R3v.parse("x^2"), R3v.parse("x*y")]
@@ -376,7 +452,8 @@ def test_level_keys_follow_the_recursive_definition(data):
 
 def test_resolution_pair_cap_counts_every_level():
     gens = [R3v.parse("x"), R3v.parse("y"), R3v.parse("z")]
-    # three syzygy pairs on the first level, a fourth on the second
+    # all linear, so no pair is reduced: the Koszul complex on x, y, z has
+    # three syzygy columns in homological degree 2 and a fourth in degree 3
     with pytest.raises(
         ResourceCapExceeded,
         match=r"^minimal_free_resolution: 4 syzygy pairs exceed pair_cap 3 "
