@@ -80,14 +80,24 @@ def enumerate_group(generators, caps=Caps()):
 def generated_by(group, subset):
     """Does the subset generate the whole group?
 
-    Decided by closing the subset and comparing orders; every element of
-    the subset must already belong to the group.
+    Every element of the subset must already belong to the group.  The
+    generators are taken one at a time, skipping any element the ones
+    before it already reach, and the closure is redone after each; the
+    answer is yes as soon as a closure has the group's order.
     """
     subset = list(subset)
     for s in subset:
         if s not in group:
             raise InvalidArgument("subset element outside the group")
-    return len(_closure(group.identity, subset)) == len(group)
+    gens = []
+    reached = {group.identity}
+    for s in subset:
+        if len(reached) == len(group):
+            break
+        if s not in reached:
+            gens.append(s)
+            reached = set(_closure(group.identity, gens))
+    return len(reached) == len(group)
 
 
 def _closure(ident, generators, cap=math.inf):
@@ -388,7 +398,9 @@ def _complete(points, prefix, k, live, pins, tests, values):
 
 def orbit(group, point, field=None):
     """The orbit of a point under the group, sorted for determinism."""
-    return sorted({s.apply_point(point, field) for s in group})
+    if len(point) != group.n:
+        raise DimensionMismatch("point length != group dimension")
+    return sorted({s.point_map(field)(point) for s in group})
 
 
 def min_reflection_number(group, variety):

@@ -535,16 +535,46 @@ class AffineMap:
         return hash((self.matrix, self.translation))
 
     def apply_point(self, pt, field=None):
+        """The image of a point given as raw coefficients.
+
+        As with `Polynomial.evaluate`, a larger field may be passed for
+        points over an extension of a prime base field.
+        """
+        if len(pt) != self.n:
+            raise DimensionMismatch("point length != map dimension")
+        return self.point_map(field)(pt)
+
+    def point_map(self, field=None):
+        """This map as a function of a point, for repeated application.
+
+        The nonzero matrix entries and the translation are unpacked once,
+        here, and an entry 1 adds its coordinate without a multiply.  The
+        returned function does not check the point's length; `apply_point`
+        is the checked entry point.
+        """
         fld = _embedding_field(self.field, field)
-        out = []
-        for i in range(self.n):
-            acc = self.translation[i]
-            row = self.matrix[i]
-            for j in range(self.n):
-                if row[j] and pt[j]:
-                    acc = fld.add(acc, fld.mul(row[j], pt[j]))
-            out.append(acc)
-        return tuple(out)
+        add, mul = fld.add, fld.mul
+        rows = tuple(
+            (b, tuple(j for j, a in enumerate(row) if a == 1),
+             tuple((j, a) for j, a in enumerate(row) if a > 1))
+            for row, b in zip(self.matrix, self.translation)
+        )
+
+        def image(pt):
+            out = []
+            for acc, ones, scaled in rows:
+                for j in ones:
+                    x = pt[j]
+                    if x:
+                        acc = add(acc, x)
+                for j, a in scaled:
+                    x = pt[j]
+                    if x:
+                        acc = add(acc, mul(a, x))
+                out.append(acc)
+            return tuple(out)
+
+        return image
 
     def compose(self, other):
         """self after other: (self.compose(other))(x) = self(other(x))."""

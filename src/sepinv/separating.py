@@ -107,28 +107,29 @@ def verify_separating_points(candidate, group, variety, field=None):
     """Brute-force check over one finite field: necessary evidence only.
 
     The candidate passes when all rational points of the variety with
-    the same candidate values lie in one group orbit.  One pass over the
-    points remembers the first point with each value tuple; every later
-    point with those values must lie in its orbit, and the first that
-    does not decides the verdict.  A class's orbit is computed once, when
-    the class gets its second member.
+    the same candidate values lie in one group orbit.  The candidates are
+    proved invariant first, so their values are constant on each orbit
+    and one evaluation per orbit is enough: one pass over the points
+    skips every point an earlier orbit reached, evaluates the candidates
+    at the rest, and fails as soon as two orbits share a value tuple.
+    Orbits partition the whole space, so this is the same verdict even
+    when the variety's point set is not closed under the group.
     """
     _check_invariance(candidate, group)
     fld = field or variety.ring.field
     points = variety_points(variety, fld)
+    maps = [s.point_map(fld) for s in group]
     evaluators = [g.evaluator(fld) for g in candidate.polynomials]
-    first = {}
-    orbits = {}
+    seen = set()
+    classes = set()
     for pt in points:
-        values = tuple(f(pt) for f in evaluators)
-        rep = first.setdefault(values, pt)
-        if rep is pt:
+        if pt in seen:
             continue
-        orb = orbits.get(values)
-        if orb is None:
-            orb = orbits[values] = {s.apply_point(rep, fld) for s in group}
-        if pt not in orb:
+        seen.update(image(pt) for image in maps)
+        values = tuple(f(pt) for f in evaluators)
+        if values in classes:
             return False
+        classes.add(values)
     return True
 
 

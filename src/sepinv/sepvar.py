@@ -30,9 +30,9 @@ from .group import (
     _graph_connected,
     _locus_codim,
     _moved_equations,
+    fixed_locus_codim,
     generated_by,
     k_reflections,
-    orbit,
     variety_connected_in_codim,
     variety_points,
 )
@@ -246,8 +246,14 @@ class SepVarietyModel:
         return value
 
     def _agreement_codim(self, rho, i, j):
-        """Codimension in X of the locus of X_i meet X_j fixed by rho."""
+        """Codimension in X of the locus of X_i meet X_j fixed by rho.
+
+        On a variety of one component that locus is rho's fixed locus on X,
+        whose codimension `fixed_locus_codim` caches per element.
+        """
         components = self.variety.components
+        if len(components) == 1:
+            return fixed_locus_codim(rho, self.variety)
         gens = list(components[i].gens) + list(components[j].gens)
         gens += _moved_equations(rho, self.base_ring)
         return _locus_codim(self.variety, self.base_ring, gens)
@@ -269,10 +275,10 @@ class SepVarietyModel:
         evidence for cross-checks, never the definition.
         """
         fld = field or self.base_ring.field
+        maps = [s.point_map(fld) for s in self.group]
         pairs = set()
         for pt in variety_points(self.variety, fld):
-            for image in orbit(self.group, pt, fld):
-                pairs.add((pt, image))
+            pairs.update((pt, image(pt)) for image in maps)
         return sorted(pairs)
 
 

@@ -29,7 +29,7 @@ from sepinv.errors import (
     RingMismatch,
     VarietyNotPreserved,
 )
-from sepinv.group import generated_by, variety_pairwise_codim
+from sepinv.group import _closure, generated_by, variety_pairwise_codim
 from sepinv.poly import Polynomial
 
 from .oracles import naive_from, naive_variety_points, rank
@@ -380,6 +380,50 @@ def test_orbit_sizes_divide_group_order(two_planes):
         assert G.order % len(orb) == 0
     assert orbit(G, (0, 0, 0, 0)) == [(0, 0, 0, 0)]
     assert orbit(G, (1, 1, 1, 1)) == [(1, 1, 1, 1), (1, 1, 4, 4)]
+
+
+def test_orbit_checks_the_point_length(two_planes):
+    with pytest.raises(DimensionMismatch,
+                       match=r"^point length != group dimension$"):
+        orbit(two_planes.group, (1, 1, 1))
+
+
+def test_generated_by_matches_a_closure_of_the_whole_subset(
+    id10253, two_planes, additive3
+):
+    # random subsets, repeats and the identity included; S_4 on F_5^4 adds
+    # subsets that generate a proper subgroup of more than one element
+    s4 = enumerate_group(
+        [perm_matrix(F5, (1, 0, 2, 3)), perm_matrix(F5, (0, 2, 3, 1))])
+    rng = random.Random(15)
+    for G in (id10253.group, two_planes.group, additive3.group, s4):
+        for _ in range(40):
+            subset = rng.choices(G.elements, k=rng.randint(0, 4))
+            whole = len(_closure(G.identity, subset)) == len(G)
+            assert generated_by(G, subset) is whole
+    # every element is checked, even past a prefix that already generates
+    outside = perm_matrix(F5, (1, 2, 3, 0)).compose(
+        AffineMap(F5, [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    with pytest.raises(ValueError, match="outside the group"):
+        generated_by(s4, list(s4.generators) + [outside])
+
+
+def test_generated_by_closes_only_over_unreached_elements(id10253, monkeypatch):
+    # id10253's k-reflection subsets, k = 0..4: 225 compositions when each
+    # whole subset was closed, 136 when each generator is taken only if the
+    # ones before it do not reach it
+    G, X = id10253.group, id10253.variety
+    subsets = [k_reflections(G, X, k) for k in range(X.dimension() + 1)]
+    calls = [0]
+    compose = AffineMap.compose
+
+    def counting(self, other):
+        calls[0] += 1
+        return compose(self, other)
+
+    monkeypatch.setattr(AffineMap, "compose", counting)
+    assert [generated_by(G, s) for s in subsets] == [False] + [True] * 4
+    assert calls[0] <= 136
 
 
 def test_connectivity_of_component_graph(two_planes):

@@ -32,6 +32,7 @@ F2 = make_field(2)
 F5 = make_field(5)
 F4 = make_field(2, 2, [1, 1, 1])
 F9 = make_field(3, 2, [1, 0, 1])
+F25 = make_field(5, 2, [2, 0, 1])
 
 R5 = PolynomialRing(F5, ("x", "y", "z"))
 R2 = PolynomialRing(F2, ("x1", "x2", "x3", "x4"))
@@ -356,6 +357,40 @@ def test_affine_map_matches_pointwise_action():
     for _ in range(20):
         pt = tuple(rng.randrange(5) for _ in range(3))
         assert comp.apply_point(pt) == sigma.apply_point(tau.apply_point(pt))
+
+
+def test_apply_point_checks_the_point_length(id10253):
+    sigma = id10253.group.elements[1]
+    for pt in ((1, 0, 1), (1, 0, 1, 1, 5, 5)):  # the long one was cut short
+        with pytest.raises(DimensionMismatch,
+                           match=r"^point length != map dimension$"):
+            sigma.apply_point(pt)
+
+
+@pytest.mark.parametrize("field", [F4, F25], ids=["F4", "F25"])
+def test_point_map_matches_apply_point_and_the_oracle(field):
+    # maps over the prime field applied to extension points, and maps over
+    # the extension itself; entries 0 and 1 are drawn often, since the
+    # point map treats both apart from the rest
+    rng = random.Random(field.order)
+    for fld in (make_field(field.p), field):
+        for _ in range(8):
+            n = rng.randint(1, 3)
+            entry = lambda: rng.choice([0, 1, rng.randrange(fld.order)])
+            while True:
+                try:
+                    sigma = AffineMap(
+                        fld, [[entry() for _ in range(n)] for _ in range(n)],
+                        [entry() for _ in range(n)])
+                    break
+                except ValueError:
+                    continue
+            image = sigma.point_map(field)
+            for _ in range(20):
+                pt = tuple(rng.choice([0, 1, rng.randrange(field.order)])
+                           for _ in range(n))
+                want = naive_apply(sigma.matrix, sigma.translation, pt, field)
+                assert image(pt) == sigma.apply_point(pt, field) == want
 
 
 def test_pullback_agrees_with_point_evaluation():

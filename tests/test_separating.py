@@ -1,9 +1,11 @@
 """Tests for invariance checks, separating-set verification, and the audit."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sepinv import (
     AffineMap,
+    Caps,
     Ideal,
     PolynomialRing,
     SeparatingCandidate,
@@ -16,7 +18,14 @@ from sepinv import (
     verify_separating_points,
     verify_separating_symbolic,
 )
-from sepinv.errors import InternalInconsistency, NotInvariant, RingMismatch
+from sepinv.errors import (
+    GroupCapExceeded,
+    InternalInconsistency,
+    NotInvariant,
+    RingMismatch,
+)
+from sepinv.group import orbit, variety_points
+from sepinv.poly import Polynomial, compose_affine
 
 from .oracles import naive_from, naive_point_check, naive_variety_points
 
@@ -116,6 +125,122 @@ def test_point_check_agrees_with_bucket_then_orbit_oracle(
         got = verify_separating_points(cand, model.group, model.variety, field)
         assert got is separates
         assert _oracle_verdict(cand, model.group, model.variety, field) is got
+
+
+def test_point_check_evaluates_once_per_orbit(id10253, monkeypatch):
+    # 736 orbits on the 4,096 points of F_8^4: the four invariants are
+    # evaluated at one point of each, 2,944 calls where every point took
+    # 16,384
+    F8 = make_field(2, 3, [1, 1, 0, 1])
+    points = variety_points(id10253.variety, F8)
+    orbits = {tuple(orbit(id10253.group, pt, F8)) for pt in points}
+    assert len(orbits) == 736
+    calls = [0]
+    evaluator = Polynomial.evaluator
+
+    def counting(self, field=None):
+        value = evaluator(self, field)
+
+        def counted(point):
+            calls[0] += 1
+            return value(point)
+
+        return counted
+
+    monkeypatch.setattr(Polynomial, "evaluator", counting)
+    main = id10253.candidates["main"]
+    assert verify_separating_points(main, id10253.group, id10253.variety, F8)
+    assert calls[0] == len(main) * len(orbits)
+
+
+EXTENSIONS = {2: make_field(2, 2, [1, 1, 1]), 3: make_field(3, 2, [1, 0, 1])}
+
+
+@st.composite
+def point_checks(draw):
+    """(candidate, group, variety, scan field) over F_2 or F_3 in 1-3
+    variables.  The group has 1-3 generators P*L*U (a permutation, a lower
+    unitriangular and an invertible upper triangular matrix), some with a
+    translation; generators past the first are dropped until the order is
+    at most 24.  Invariants are orbit sums of polynomials or orbit
+    products of affine linear forms with at most 4 images; the candidate
+    may also be cut to a proper subset, or to nothing.  The variety has
+    1-2 components, each cut out by random polynomials of degree at most
+    2 in each variable, an invariant minus a constant, or nothing."""
+    p = draw(st.sampled_from(sorted(EXTENSIONS)))
+    F = make_field(p)
+    n = draw(st.integers(1, 3))
+    ring = PolynomialRing(F, tuple(f"x{i + 1}" for i in range(n)))
+    entry = st.integers(0, p - 1)
+
+    def generator():
+        perm = draw(st.permutations(range(n)))
+        sparse = draw(st.booleans())
+        lower = [[int(i == j) if j >= i or sparse else draw(entry)
+                  for j in range(n)] for i in range(n)]
+        upper = [[draw(st.integers(1, p - 1)) if i == j
+                  else 0 if j < i or sparse else draw(entry)
+                  for j in range(n)] for i in range(n)]
+        matrix = [[sum(lower[perm[i]][k] * upper[k][j] for k in range(n)) % p
+                   for j in range(n)] for i in range(n)]
+        shift = [draw(entry) for _ in range(n)] if draw(st.booleans()) else None
+        return AffineMap(F, matrix, shift)
+
+    gens = [generator() for _ in range(draw(st.integers(1, 3)))]
+    while True:
+        try:
+            G = enumerate_group(gens, Caps(group_cap=24))
+            break
+        except GroupCapExceeded:
+            assume(len(gens) > 1)  # one element of order 26 over F_3
+            gens.pop()
+
+    def poly(degree):
+        terms = draw(st.lists(
+            st.tuples(st.lists(st.integers(0, degree), min_size=n,
+                               max_size=n), st.integers(1, p - 1)),
+            min_size=1, max_size=3))
+        return ring.from_dict({ring.pack(e): c for e, c in terms})
+
+    def invariant():
+        if draw(st.booleans()):
+            form = sum((ring.var(i).scale(draw(entry)) for i in range(n)),
+                       ring.constant(draw(entry)))
+            images = {compose_affine(form, s) for s in G}
+            if len(images) <= 4:
+                product = ring.one()
+                for f in images:
+                    product = product * f
+                return product
+        m = poly(2)
+        return sum((compose_affine(m, s) for s in G), ring.zero())
+
+    invariants = [invariant() for _ in range(draw(st.integers(1, 3)))]
+    cut = draw(st.sampled_from(["all", "proper", "none"]))
+    chosen = {"all": invariants, "proper": invariants[:-1], "none": []}[cut]
+    components = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["random", "invariant", "space"]))
+        if kind == "space":
+            gens = []
+        elif kind == "invariant":
+            gens = [draw(st.sampled_from(invariants)) - ring.constant(
+                draw(entry))]
+        else:
+            gens = [poly(2) for _ in range(draw(st.integers(1, 2)))]
+        ideal = Ideal(ring, gens)
+        components.append(ideal if not ideal.is_unit() else Ideal(ring, []))
+    variety = VarietyPresentation(ring, components)
+    field = EXTENSIONS[p] if draw(st.booleans()) else F
+    return SeparatingCandidate(cut, chosen), G, variety, field
+
+
+@settings(max_examples=80, deadline=None)
+@given(point_checks())
+def test_point_check_matches_the_bucket_then_orbit_oracle(case):
+    candidate, group, variety, field = case
+    got = verify_separating_points(candidate, group, variety, field)
+    assert got is _oracle_verdict(candidate, group, variety, field)
 
 
 def test_audit_concludes_on_id10253(id10253):

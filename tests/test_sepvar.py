@@ -16,8 +16,9 @@ from sepinv import (
     make_field,
     variety_points,
 )
-from sepinv.errors import NotInvariant
-from sepinv.group import orbit
+from sepinv import bundled, group, sepvar
+from sepinv.errors import InternalInconsistency, NotInvariant
+from sepinv.group import _locus_codim, _moved_equations, orbit
 from sepinv.sepvar import _mirror_names
 
 F2 = make_field(2)
@@ -200,3 +201,74 @@ def test_pairwise_codim_is_cached_and_symmetric(two_planes):
     model = two_planes.model
     assert model.pairwise_intersection_codim(0, 1) == model.pairwise_intersection_codim(1, 0)
     assert model.pairwise_intersection_codim(2, 2) == 0
+
+
+def _s4_on_f5():
+    ring = PolynomialRing(F5, ("x1", "x2", "x3", "x4"))
+    swaps = []
+    for i in range(3):
+        rows = [[int(r == c) for c in range(4)] for r in range(4)]
+        rows[i][i] = rows[i + 1][i + 1] = 0
+        rows[i][i + 1] = rows[i + 1][i] = 1
+        swaps.append(AffineMap(F5, rows))
+    return SepVarietyModel(VarietyPresentation(ring), enumerate_group(swaps))
+
+
+@pytest.mark.parametrize(
+    "name", ["id10253", "two-planes", "additive-2", "additive-3", "additive-5",
+             "S4/F5"])
+def test_codim_matrix_matches_the_per_pair_base_ring_locus(name):
+    # a one-component variety answers the base-ring side from the cached
+    # fixed-locus codimensions; every entry must equal the locus of
+    # X_i meet X_j fixed by rho, computed pair by pair as before
+    model = _s4_on_f5() if name == "S4/F5" else bundled.load(name).model
+    variety, ring = model.variety, model.base_ring
+    comps = model.graph_components()
+    matrix = model.codim_matrix()
+    for i, a in enumerate(comps):
+        for j, b in enumerate(comps):
+            if i == j:
+                assert matrix[i][j] == 0
+                continue
+            rho = b.sigma.inverse().compose(a.sigma)
+            gens = (list(variety.components[a.component].gens)
+                    + list(variety.components[b.component].gens)
+                    + _moved_equations(rho, ring))
+            assert matrix[i][j] == _locus_codim(variety, ring, gens)
+
+
+def test_one_component_base_side_reads_the_fixed_locus_cache(monkeypatch):
+    model = bundled.load("id10253").model
+    base_bases = [0]
+    locus_codim = group._locus_codim
+
+    def counting(variety, ring, gens):
+        base_bases[0] += ring == model.base_ring
+        return locus_codim(variety, ring, gens)
+
+    monkeypatch.setattr(group, "_locus_codim", counting)
+    monkeypatch.setattr(sepvar, "_locus_codim", counting)
+    assert len(model.graph_components()) == 8
+    model.codim_matrix()
+    # one basis per group element at most, against one per pair (28) before
+    assert base_bases[0] <= len(model.group) == 8
+
+
+def test_codim_cross_check_survives_the_cache(monkeypatch):
+    # a wrong doubled-ring value, or a wrong cached base-ring value, must
+    # still be caught pair by pair
+    model = bundled.load("id10253").model
+    locus_codim = sepvar._locus_codim
+    monkeypatch.setattr(sepvar, "_locus_codim",
+                        lambda variety, ring, gens:
+                        locus_codim(variety, ring, gens) + 1)
+    with pytest.raises(InternalInconsistency, match="codimensions disagree"):
+        model.codim_matrix()
+    monkeypatch.undo()
+    model = bundled.load("id10253").model
+    comps = model.graph_components()
+    rho = comps[1].sigma.inverse().compose(comps[0].sigma)
+    model.variety._codims[rho] = group.fixed_locus_codim(
+        rho, model.variety) + 1
+    with pytest.raises(InternalInconsistency, match="codimensions disagree"):
+        model.codim_matrix()
