@@ -26,6 +26,8 @@ t^3 + t^2 + t + 1)), so g is the least raw element from t upwards whose
 (q-1)/r-th power is not 1 for any prime r dividing q-1.  The tables are
 filled by q-1 multiplications by g, each the sum of two looked-up
 images under x -> x*g: of the low and of the high half of x's digits.
+For odd p the images are stored with room for a digit sum in each digit,
+so the sum is one int addition, and two more lookups reduce it mod p.
 They hold O(q) integers, so `make_field` refuses fields above its caps'
 `enum_cap` (SEPINV_ENUM_CAP), the cap that bounds element enumeration.
 """
@@ -367,25 +369,57 @@ def _log_tables(f):
     P = p ** (f.e // 2)
     low = [f._mul_slow(v, g) for v in range(P)]
     high = [f._mul_slow(v * P, g) for v in range(q // P)]
-    if p == 2:
-        plus = int.__xor__
-    else:
-        def plus(a, b):
-            return f._undigits([x + y for x, y in zip(f._digits(a), f._digits(b))])
     log = [0] * q
     exp = [0] * (2 * q1)
     x = 1
+    if p == 2:
+        for k in range(q1):
+            exp[k] = exp[k + q1] = x
+            log[x] = k
+            x = low[x % P] ^ high[x // P]
+        return q1, log, exp, None
+    # Odd p: give every digit a field of b bits, room for a sum of two
+    # digits, so one int addition adds two images digit by digit without a
+    # carry; `lows` and `highs` read the raw form of such a sum off its low
+    # and its high digits, reduced mod p.
+    b = (2 * p - 2).bit_length()
+    low = [_spread(v, p, b) for v in low]
+    high = [_spread(v, p, b) for v in high]
+    split = b * (f.e // 2)
+    mask = (1 << split) - 1
+    lows = _digit_sums(f.e // 2, p, b, 1)
+    highs = _digit_sums(f.e - f.e // 2, p, b, P)
     for k in range(q1):
         exp[k] = exp[k + q1] = x
         log[x] = k
-        x = plus(low[x % P], high[x // P])
-    if p == 2:
-        return q1, log, exp, None
+        s = low[x % P] + high[x // P]
+        x = lows[s & mask] + highs[s >> split]
     zech = []
     for x in exp[:q1]:
         y = x + 1 if x % p != p - 1 else x - (p - 1)  # 1 + x, digit 0 mod p
         zech.append(log[y] if y else -1)
     return q1, log, exp, zech
+
+
+def _spread(v, p, b):
+    """The base-p digits of v, digit i in bits [b*i, b*(i+1))."""
+    out = 0
+    i = 0
+    while v:
+        v, d = divmod(v, p)
+        out |= d << (b * i)
+        i += 1
+    return out
+
+
+def _digit_sums(n, p, b, scale):
+    """{spread n digits, each below 2p - 1: scale * raw form of them mod p}."""
+    out = {0: 0}
+    for i in range(n):
+        step = scale * p ** i
+        out = {w + (d << (b * i)): r + (d % p) * step
+               for w, r in out.items() for d in range(2 * p - 1)}
+    return out
 
 
 def make_field(p, e=1, modulus=None, gen_name="t", caps=Caps()):

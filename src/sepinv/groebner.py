@@ -13,10 +13,12 @@ component, so divisibility is one masked subtraction inside a bucket.
 `_s_vector` builds an S-polynomial or S-vector for either kind of term.
 
 Buchberger's algorithm uses the normal selection strategy (smallest lcm
-degree first), the product criterion, and the chain criterion.  The basis
-returned is always the reduced basis, sorted by increasing leading
-monomial, which makes it canonical: two ideals are equal exactly when
-these tuples match.
+degree first) and the pair update of Gebauer and Moeller (1988): each new
+basis element drops the old pairs it makes redundant and keeps only the
+new pairs with minimal lcms, less those the product criterion settles, so
+no pair is rescanned when popped.  The basis returned is always the
+reduced basis, sorted by increasing leading monomial, which makes it
+canonical: two ideals are equal exactly when these tuples match.
 """
 
 from __future__ import annotations
@@ -205,49 +207,57 @@ def groebner_basis(gens, caps=Caps()):
         view.append((lm, inv, terms[1:], len(view)))
         return len(basis) - 1
 
+    # pending S-pairs (lcm degree, lcm key, i, j, lcm): normal selection
     heap = []
-    done = set()
 
-    def consider(i, j):
-        a, b = lms[i], lms[j]
-        L = ring.mono_lcm(a, b)
-        if L == ring.mono_mul(a, b):
-            done.add((i, j))  # product criterion: S-poly reduces to zero
-            return
-        heapq.heappush(heap, (ring.mono_degree(L), key(L), i, j, L))
+    def update(t):
+        """Gebauer-Moeller update for the new basis element t.
+
+        An old pair (i, j) goes when lm_t divides its lcm L and neither
+        lcm(lm_i, lm_t) nor lcm(lm_j, lm_t) equals L (criterion B_k).  Of
+        the new pairs (i, t), one per distinct lcm is kept, the one with
+        the largest i (F), and only where no other new lcm properly divides
+        it (M); an lcm class that holds a pair of coprime leads is dropped
+        whole (product criterion), but still serves to drop the lcms it
+        divides.
+        """
+        h = lms[t]
+        news = []  # lcm(lm_i, h), inline `ring.mono_lcm`
+        for lm in lms[:t]:
+            g = ((lm | guard) - h) & guard
+            news.append(h ^ ((lm ^ h) & (g - (g >> 7))))
+        kept = [pair for pair in heap
+                if ((pair[4] | guard) - h) & guard != guard
+                or news[pair[2]] == pair[4] or news[pair[3]] == pair[4]]
+        if len(kept) < len(heap):
+            heap[:] = kept
+            heapq.heapify(heap)
+        last = {L: i for i, L in enumerate(news)}
+        # a sum that overflows a byte is no lcm: those leads share a variable
+        coprime = {L for L, lm in zip(news, lms) if L == lm + h}
+        # a proper divisor of L is a smaller int, so it is settled first
+        minimal = []
+        for L in sorted(last):
+            for M in minimal:
+                if ((L | guard) - M) & guard == guard:
+                    break
+            else:
+                minimal.append(L)
+                if L not in coprime:
+                    heapq.heappush(
+                        heap, (ring.mono_degree(L), key(L), last[L], t, L))
 
     for g in sorted(gens, key=lambda g: key(g.leading_monomial())):
-        t = push(g.terms)
-        for i in range(t):
-            consider(i, t)
+        update(push(g.terms))
 
     processed = 0
     while heap:
         deg, _, i, j, L = heapq.heappop(heap)
-        if (i, j) in done:
-            continue
-        done.add((i, j))
         if deg > degree_cap:
             raise ResourceCapExceeded(
                 f"groebner_basis: S-pair degree {deg} exceeds degree_cap "
                 f"{degree_cap} (SEPINV_DEGREE_CAP)"
             )
-
-        # chain criterion: an intermediate basis element whose two pairs
-        # are already treated makes this pair redundant
-        skip = False
-        for k in range(len(lms)):
-            if k == i or k == j:
-                continue
-            if ((L | guard) - lms[k]) & guard != guard:
-                continue
-            pik = (min(i, k), max(i, k))
-            pjk = (min(j, k), max(j, k))
-            if pik in done and pjk in done:
-                skip = True
-                break
-        if skip:
-            continue
         # only pairs whose S-vector is formed and reduced count
         processed += 1
         if processed > pair_cap:
@@ -259,11 +269,8 @@ def groebner_basis(gens, caps=Caps()):
         work = _s_vector(basis[i], L - lms[i], inv_lcs[i],
                          basis[j], L - lms[j], inv_lcs[j], ring)
         rem = _reduce(work, buckets, ring, key, None)
-        if not rem:
-            continue
-        t = push(tuple(rem.items()))
-        for i2 in range(t):
-            consider(i2, t)
+        if rem:
+            update(push(tuple(rem.items())))
 
     return [Polynomial(ring, terms) for terms in _interreduce(basis, ring, key)]
 
@@ -347,18 +354,25 @@ class Ideal:
     # -- radical membership ---------------------------------------------------
 
     def radical_contains(self, f):
-        """f vanishes on the zero locus: some power of f lies in the ideal."""
+        """f vanishes on the zero locus: some power of f lies in the ideal.
+
+        Rabinowitsch: it does exactly when I and 1 - t*f generate the unit
+        ideal of R[t].  t is the last variable, so a polynomial of R keeps
+        its packed ints in R[t] and, when R is grevlex, its order too.
+        """
         if f.ring != self.ring:
             raise RingMismatch("polynomial outside the ideal's ring")
         if f.is_zero() or self.contains(f):
             return True  # I lies in its radical
         ring = self.ring
+        fld = ring.field
         tname = _fresh_name(ring.variables, "_t")
-        ext = PolynomialRing(ring.field, ring.variables + (tname,), GREVLEX)
-        ident = list(range(ring.nvars))
-        gens = [g.inject(ext, ident) for g in self.gens]
-        t = ext.var(ring.nvars)
-        gens.append(ext.one() - t * f.inject(ext, ident))
+        ext = PolynomialRing(fld, ring.variables + (tname,), GREVLEX)
+        ordered = ring.order == GREVLEX
+        t = 1 << ring.term_shift
+        gens = [_lift(ext, g.terms, ordered) for g in self.gens]
+        gens.append(_lift(ext, tuple((m + t, fld.neg(c)) for m, c in f.terms)
+                          + ((0, 1),), ordered))
         gb = groebner_basis(gens, self.caps)
         return len(gb) == 1 and gb[0].leading_monomial() == 0
 
@@ -405,26 +419,38 @@ class Ideal:
         return Ideal(tail_ring, out, self.caps)
 
     def intersect(self, other):
-        """Ideal intersection via a fresh scaling variable."""
+        """Ideal intersection: eliminate t from t*I + (1 - t)*J.
+
+        t is byte 0 of the block ring, so a monomial m of R is `m << 8`
+        there and `+ 1` multiplies it by t.  In a grevlex ring t*g and
+        (1 - t)*g are built term by term in order (the t-terms first, each
+        part in g's order), and the t-free part of the block basis, shifted
+        back, is already the reduced grevlex basis of the intersection;
+        other orders sort both ways.
+        """
         if other.ring != self.ring:
             raise RingMismatch("intersection across rings")
         ring = self.ring
+        fld = ring.field
         tname = _fresh_name(ring.variables, "_t")
         block_ring = PolynomialRing(
-            ring.field, (tname,) + ring.variables, Block(1, GREVLEX, GREVLEX)
+            fld, (tname,) + ring.variables, Block(1, GREVLEX, GREVLEX)
         )
-        shift = [i + 1 for i in range(ring.nvars)]
-        t = block_ring.var(0)
-        one_minus_t = block_ring.one() - t
-        gens = [t * g.inject(block_ring, shift) for g in self.gens]
-        gens += [one_minus_t * g.inject(block_ring, shift) for g in other.gens]
+        ordered = ring.order == GREVLEX
+        gens = [_lift(block_ring, tuple(((m << 8) + 1, c) for m, c in g.terms),
+                      ordered)
+                for g in self.gens]
+        gens += [_lift(block_ring,
+                       tuple(((m << 8) + 1, fld.neg(c)) for m, c in g.terms)
+                       + tuple((m << 8, c) for m, c in g.terms), ordered)
+                 for g in other.gens]
         gb = groebner_basis(gens, self.caps)
-        back = [0] + list(range(ring.nvars))
-        out = []
-        for g in gb:
-            if all((m & 0xFF) == 0 for m, _ in g.terms):
-                out.append(g.inject(ring, back))
-        return Ideal(ring, out, self.caps)
+        out = tuple(_lift(ring, tuple((m >> 8, c) for m, c in g.terms), ordered)
+                    for g in gb if all(not m & 0xFF for m, _ in g.terms))
+        meet = Ideal(ring, out, self.caps)
+        if ordered:
+            meet._gb[GREVLEX] = out  # reduced, in increasing lead order
+        return meet
 
     # -- dimension --------------------------------------------------------------
 
@@ -456,6 +482,12 @@ class Ideal:
     def codimension(self):
         """Height: ambient variable count minus dimension."""
         return self.ring.nvars - self.dimension()
+
+
+def _lift(ring, terms, ordered):
+    """The polynomial of `ring` with these terms; unless they are `ordered`
+    (decreasing in the ring's order already), sorted first."""
+    return Polynomial(ring, terms) if ordered else ring.from_dict(dict(terms))
 
 
 def _fresh_name(taken, base):

@@ -258,3 +258,33 @@ def test_make_field_refuses_fields_above_enum_cap():
     assert make_field(2, 3, [1, 1, 0, 1], caps=caps) == F8
     with pytest.raises(EnumerationCapExceeded, match="make_field: .* 16 "):
         make_field(2, 4, [1, 1, 0, 0, 1], caps=caps)
+
+
+@pytest.mark.parametrize("field", [
+    F9,
+    make_field(5, 2, [2, 0, 1]),
+    make_field(3, 3, [1, 2, 0, 1]),
+    make_field(3, 5, [1, 2, 0, 0, 0, 1]),
+    make_field(7, 2, [1, 0, 1]),
+    make_field(5, 3, [2, 0, 1, 1]),
+], ids=repr)
+def test_odd_log_tables_agree_with_digit_oracle(field):
+    # exp walks the powers of the least primitive element from t upwards,
+    # log inverts it, and zech[k] is log(1 + g^k), or -1 where that is 0
+    add, mul = naive_field_ops(field)
+    p, q1 = field.p, field.order - 1
+    q1_, log, exp, zech = field._tables
+    assert q1_ == q1 and len(exp) == 2 * q1 and len(zech) == q1
+    g = exp[1]
+    for v in range(p, g):  # every smaller candidate has a smaller order
+        x, k = v, 1
+        while x != 1:
+            x, k = mul(x, v), k + 1
+        assert k < q1
+    assert exp[0] == 1
+    for k in range(q1):
+        assert exp[k + 1] == mul(exp[k], g)
+        assert exp[k + q1] == exp[k]
+        assert log[exp[k]] == k
+        one_plus = add(1, exp[k])
+        assert zech[k] == (log[one_plus] if one_plus else -1)

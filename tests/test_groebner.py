@@ -17,7 +17,13 @@ from sepinv.groebner import (
 )
 from sepinv.poly import GREVLEX, LEX, Block
 
-from .oracles import GradedQuotient, monomials, naive_from, naive_to
+from .oracles import (
+    GradedQuotient,
+    hilbert_function,
+    monomials,
+    naive_from,
+    naive_to,
+)
 
 F2 = make_field(2)
 F5 = make_field(5)
@@ -31,6 +37,16 @@ def random_poly(ring, rng, terms=4, degree=3):
         exps = tuple(rng.randrange(degree + 1) for _ in ring.variables)
         table[ring.pack(exps)] = rng.randrange(1, ring.field.p)
     return ring.from_dict(table)
+
+
+def homogeneous_poly(data, ring, degree, terms=4):
+    """A nonzero form of the given degree with at most `terms` terms."""
+    p = ring.field.p
+    monos = data.draw(st.lists(st.sampled_from(monomials(ring.nvars, degree)),
+                               min_size=1, max_size=terms, unique=True))
+    coeffs = data.draw(st.lists(st.integers(1, p - 1), min_size=len(monos),
+                                max_size=len(monos)))
+    return naive_to(ring, dict(zip(monos, coeffs)))
 
 
 def is_reduced_basis(gb):
@@ -67,17 +83,9 @@ def test_normal_form_agrees_with_macaulay_matrix_oracle(p, order, data):
     # f - nf(f) lies in the ideal by linear algebra on the generators alone,
     # and nf(f) is reduced: together that is f = sum q_i g_i + r
     ring = PolynomialRing(make_field(p), ("x", "y", "z"), order)
-
-    def homogeneous(degree):
-        monos = data.draw(st.lists(st.sampled_from(monomials(3, degree)),
-                                   min_size=1, max_size=4, unique=True))
-        coeffs = data.draw(st.lists(st.integers(1, p - 1), min_size=len(monos),
-                                    max_size=len(monos)))
-        return naive_to(ring, dict(zip(monos, coeffs)))
-
-    gens = [homogeneous(data.draw(st.integers(1, 3)))
+    gens = [homogeneous_poly(data, ring, data.draw(st.integers(1, 3)))
             for _ in range(data.draw(st.integers(1, 3)))]
-    f = homogeneous(data.draw(st.integers(1, 4)))
+    f = homogeneous_poly(data, ring, data.draw(st.integers(1, 4)))
     gb = groebner_basis(gens)
     r = normal_form(f, gb)
     quotient = GradedQuotient(3, [naive_from(g) for g in gens], p)
@@ -300,16 +308,20 @@ def test_groebner_caps_trigger():
 
 
 def test_pair_cap_counts_only_the_reduced_pairs():
-    # m^18 in 3 variables is already a basis: the chain criterion skips all
-    # but 360 of its pairs, and only those are formed and reduced
-    gens = [R.from_dict({R.pack(e): 1}) for e in monomials(3, 18)]
-    assert groebner_basis(gens, Caps(pair_cap=360)) == groebner_basis(gens)
-    with pytest.raises(
-        ResourceCapExceeded,
-        match=r"^groebner_basis: 360 S-pairs exceed pair_cap 359 "
-              r"\(SEPINV_PAIR_CAP\)$",
-    ):
-        groebner_basis(gens, Caps(pair_cap=359))
+    # m^d in 3 variables is already a basis: the Gebauer-Moeller update
+    # keeps d*(d+2) of its pairs, beta_1 of m^d (360 for d = 18, 960 for
+    # d = 30), and only those are formed and reduced
+    for d in (18, 30):
+        gens = sorted((R.from_dict({R.pack(e): 1}) for e in monomials(3, d)),
+                      key=lambda g: R.key(g.leading_monomial()))
+        kept = d * (d + 2)
+        assert groebner_basis(gens, Caps(pair_cap=kept)) == gens
+        with pytest.raises(
+            ResourceCapExceeded,
+            match=rf"^groebner_basis: {kept} S-pairs exceed pair_cap "
+                  rf"{kept - 1} \(SEPINV_PAIR_CAP\)$",
+        ):
+            groebner_basis(gens, Caps(pair_cap=kept - 1))
 
 
 def test_ideal_serves_bases_in_other_orders():
@@ -319,3 +331,164 @@ def test_ideal_serves_bases_in_other_orders():
     assert lex_gb == I.groebner_basis(LEX)
     assert [g.ring.order for g in lex_gb] == [LEX]
     assert [g.ring.order for g in I.groebner_basis()] == [R.order]
+
+
+# -- Buchberger and the t-trick on random small ideals ------------------------
+
+def small_poly(data, ring, degree=2, terms=3):
+    """A nonzero polynomial of at most `terms` terms and degree `degree`."""
+    p = ring.field.p
+    exps = data.draw(st.lists(
+        st.tuples(*[st.integers(0, degree)] * ring.nvars)
+        .filter(lambda e: sum(e) <= degree),
+        min_size=1, max_size=terms, unique=True))
+    coeffs = data.draw(st.lists(st.integers(1, p - 1), min_size=len(exps),
+                                max_size=len(exps)))
+    return naive_to(ring, dict(zip(exps, coeffs)))
+
+
+def fresh_name(ring):
+    return max(ring.variables, key=len) + "_"  # longer than every name
+
+
+def intersect_by_inject(I, J):
+    """Generators of I & J by the same elimination, every polynomial moved
+    between rings by `inject` and multiplied out by ring arithmetic."""
+    ring = I.ring
+    block = PolynomialRing(ring.field, (fresh_name(ring),) + ring.variables,
+                           Block(1, GREVLEX, GREVLEX))
+    up = list(range(1, ring.nvars + 1))
+    t = block.var(0)
+    gens = [t * g.inject(block, up) for g in I.gens]
+    gens += [(block.one() - t) * g.inject(block, up) for g in J.gens]
+    down = [0] + list(range(ring.nvars))
+    return [g.inject(ring, down) for g in groebner_basis(gens)
+            if all(block.unpack(m)[0] == 0 for m, _ in g.terms)]
+
+
+def radical_by_inject(I, f):
+    """Rabinowitsch's test with 1 - t*f built by `inject` and ring arithmetic."""
+    ring = I.ring
+    ext = PolynomialRing(ring.field, ring.variables + (fresh_name(ring),),
+                         GREVLEX)
+    ident = list(range(ring.nvars))
+    t = ext.var(ring.nvars)
+    gens = [g.inject(ext, ident) for g in I.gens]
+    gens.append(ext.one() - t * f.inject(ext, ident))
+    return groebner_basis(gens) == [ext.one()]
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    order=st.sampled_from([GREVLEX, LEX, Block(1, GREVLEX, GREVLEX)]),
+    data=st.data(),
+)
+def test_buchberger_stays_sound_on_random_ideals(p, order, data):
+    ring = PolynomialRing(make_field(p), ("x", "y", "z"), order)
+    gens = [small_poly(data, ring) for _ in range(data.draw(st.integers(1, 3)))]
+    gb = groebner_basis(gens)
+    assert gb
+    if gb != [ring.one()]:
+        assert is_reduced_basis(gb)
+        assert spolys_reduce_to_zero(gb)
+    assert all(normal_form(g, gb).is_zero() for g in gens)
+    keys = [ring.key(g.leading_monomial()) for g in gb]
+    assert keys == sorted(keys)
+
+
+@settings(deadline=None, max_examples=40)
+@given(p=st.sampled_from([2, 3, 5]), data=st.data())
+def test_radical_verdict_is_the_same_on_a_lex_ring(p, data):
+    ring = PolynomialRing(make_field(p), ("x", "y", "z"), LEX)
+    gens = [small_poly(data, ring) for _ in range(data.draw(st.integers(1, 2)))]
+    f = small_poly(data, ring, degree=1)
+    I = Ideal(ring, gens)
+    verdict = I.radical_contains(f)
+    assert verdict == radical_by_inject(I, f)
+    graded = ring.with_order(GREVLEX)
+    ident = list(range(ring.nvars))
+    assert verdict == Ideal(graded, [g.inject(graded, ident) for g in gens]) \
+        .radical_contains(f.inject(graded, ident))
+
+
+@settings(deadline=None, max_examples=40)
+@given(p=st.sampled_from([2, 5]), data=st.data())
+def test_intersect_agrees_with_the_macaulay_matrix_oracle(p, data):
+    # HF(R/(I & J)) = HF(R/I) + HF(R/J) - HF(R/(I + J)) degree by degree,
+    # from the exact sequence 0 -> R/(I & J) -> R/I + R/J -> R/(I + J) -> 0
+    ring = PolynomialRing(make_field(p), ("x", "y", "z"))
+
+    def ideal():
+        return Ideal(ring, [homogeneous_poly(data, ring,
+                                             data.draw(st.integers(1, 2)), 3)
+                            for _ in range(data.draw(st.integers(1, 2)))])
+
+    I, J = ideal(), ideal()
+    meet = I.intersect(J)
+    assert [g.terms for g in meet.gens] == \
+        [g.terms for g in intersect_by_inject(I, J)]
+    degrees = range(5)
+
+    def hf(gens):
+        return hilbert_function(3, [naive_from(g) for g in gens], p, degrees)
+
+    for d, a, b, c, m in zip(degrees, hf(I.gens), hf(J.gens),
+                             hf(I.gens + J.gens), hf(meet.gens)):
+        assert m == a + b - c, f"degree {d}"
+    assert all(I.contains(g) and J.contains(g) for g in meet.gens)
+    assert all(meet.contains(f * g) for f in I.gens for g in J.gens)
+
+
+def test_intersect_matches_inject_in_other_rings():
+    # a lex ring keeps its sort; an inhomogeneous translation graph, as in
+    # additive-p; a ring that already has a variable named _t
+    F3 = make_field(3)
+    lex = PolynomialRing(F3, ("x", "y", "z"), LEX)
+    doubled = PolynomialRing(F3, ("x1", "x2", "y1", "y2"))
+    named = PolynomialRing(F5, ("_t", "x", "y"))
+    cases = [
+        (Ideal(lex, [lex.parse("x^2 - y"), lex.parse("x*z + 1")]),
+         Ideal(lex, [lex.parse("y - z^2"), lex.parse("x + y")])),
+        (Ideal(doubled, [doubled.parse("y1 - x1 - 1"),
+                         doubled.parse("y2 - x2 - x1")]),
+         Ideal(doubled, [doubled.parse("y1 - x1"), doubled.parse("y2 - x2")])),
+        (Ideal(named, [named.parse("_t^2 + x")]),
+         Ideal(named, [named.parse("_t*y - 1"), named.parse("x^2")])),
+    ]
+    for I, J in cases:
+        meet = I.intersect(J)
+        ref = intersect_by_inject(I, J)
+        assert meet.ring == I.ring
+        assert [(g.ring, g.terms) for g in meet.gens] == \
+            [(g.ring, g.terms) for g in ref]
+        assert all(I.contains(g) and J.contains(g) for g in meet.gens)
+        assert all(meet.contains(f * g) for f in I.gens for g in J.gens)
+    # the translation graph misses the identity graph: the meet is the product
+    I, J = cases[1]
+    assert I.intersect(J) == Ideal(doubled, [f * g for f in I.gens
+                                             for g in J.gens])
+
+
+def test_intersect_hands_its_basis_to_the_result(monkeypatch):
+    A = Ideal(R, [R.parse("x^2 + y*z"), R.parse("x*y")])
+    B = Ideal(R, [R.parse("y^2 - x*z")])
+    meet = A.intersect(B)
+    lex_meet = Ideal(RL, [RL.parse("x*y")]).intersect(Ideal(RL, [RL.parse("z")]))
+    calls = []
+    real = groebner.groebner_basis
+
+    def spy(gens, caps):
+        calls.append(gens[0].ring)
+        return real(gens, caps)
+
+    monkeypatch.setattr(groebner, "groebner_basis", spy)
+    # the kept grevlex basis is the reduced basis of the generators
+    assert meet.groebner_basis() == real(list(meet.gens))
+    assert meet.dimension() == 2
+    assert meet.contains(R.parse("x*y^3 - x^2*y*z"))
+    assert not meet.contains(R.parse("x*y"))
+    assert calls == []
+    # a basis in another order is not kept
+    assert lex_meet.groebner_basis() == [RL.parse("x*y*z")]
+    assert calls == [RL]
