@@ -32,7 +32,7 @@ from .errors import (
     ReducibleModulus,
     ResourceCapExceeded,
 )
-from .field import _monic_polys, make_field
+from .field import _monic_polys, check_order, make_field
 from .group import fixed_locus_codim, k_reflections, min_reflection_number
 from .manifest import Manifest
 from .poly import is_homogeneous
@@ -338,6 +338,8 @@ def _field_for_points(bm, spec):
         raise ManifestError(
             f"--points {spec!r} is not a power of the base characteristic {p}"
         )
+    if exp > 1:
+        check_order(p, exp, bm.variety.caps)
     if p ** exp == bm.ring.field.order:
         return bm.ring.field
     if exp == 1:

@@ -422,6 +422,23 @@ def _digit_sums(n, p, b, scale):
     return out
 
 
+def check_order(p, e, caps):
+    """Refuse F_{p^e} when it has more than `caps.enum_cap` elements.
+
+    This is `make_field`'s cap on extension fields, for callers that must
+    apply it before they look for a modulus.  An exponent far past the cap
+    is refused without building p^e, and an order too long to read is
+    written p^e in the message.
+    """
+    cap = caps.enum_cap
+    if e * (p.bit_length() - 1) > cap.bit_length() or p ** e > cap:
+        order = p ** e if e * p.bit_length() <= 64 else f"{p}^{e}"
+        raise EnumerationCapExceeded(
+            f"make_field: field has {order} elements, exceeding enum_cap "
+            f"{cap} (SEPINV_ENUM_CAP)"
+        )
+
+
 def make_field(p, e=1, modulus=None, gen_name="t", caps=Caps()):
     """Build a validated finite field F_{p^e}.
 
@@ -443,12 +460,7 @@ def make_field(p, e=1, modulus=None, gen_name="t", caps=Caps()):
     modulus = tuple(c % p for c in modulus)
     if len(modulus) != e + 1 or modulus[-1] != 1:
         raise ReducibleModulus(f"modulus must be monic of degree {e}")
-    cap = caps.enum_cap
-    if p ** e > cap:
-        raise EnumerationCapExceeded(
-            f"make_field: field has {p ** e} elements, exceeding enum_cap "
-            f"{cap} (SEPINV_ENUM_CAP)"
-        )
+    check_order(p, e, caps)
     _check_irreducible(modulus, p, e)
     f = Field(p, e, modulus, gen_name)
     return Field(p, e, modulus, gen_name, _log_tables(f))

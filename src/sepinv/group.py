@@ -303,12 +303,19 @@ def variety_connected_in_codim(variety, k):
 def variety_points(variety, field=None):
     """All points of the variety with coordinates in the given field.
 
+    Returns a sized, re-iterable view, not a list: the points come out as
+    they are iterated, in `itertools.product` order, and `len` is their
+    exact count without making them.  Wrap the view in `list` to index it.
+
     The field may be an extension of the base field's prime field.  The
-    q^n coordinate tuples are capped by the variety's `point_cap` before
-    the scan starts.  The scan assigns x_1, ..., x_n in turn and tests each
-    generator as soon as its last variable is set, so a prefix that no
-    component can contain is dropped with all its completions.  Past the
-    last variable any generator uses, every completion is a point.
+    q^n coordinate tuples are capped by the variety's `point_cap`, and the
+    field by its `enum_cap`, when this is called, before the scan starts.
+    The scan assigns x_1, ..., x_n in turn and tests each generator as
+    soon as its last variable is set, so a prefix that no component can
+    contain is dropped with all its completions.  Past the last variable
+    any generator uses, every completion is a point: the scan keeps each
+    such prefix, and the view expands it when iterated.  Affine space has
+    one prefix, the empty one.
 
     A generator c*x_k + h(x_1, ..., x_{k-1}) with c a nonzero constant,
     x_k in no other term, pins x_k: on its component x_k can only be
@@ -349,10 +356,36 @@ def variety_points(variety, field=None):
     while tests and not any(tests[-1]) and not any(pins[-1]):
         tests.pop()
         pins.pop()
-    points = []
-    _complete(points, [0] * n, 0, range(len(variety.components)), pins,
+    prefixes = []
+    _complete(prefixes, [0] * n, 0, range(len(variety.components)), pins,
               tests, values)
-    return points
+    return _PointView(prefixes, values, n - len(tests))
+
+
+class _PointView:
+    """The points that extend each kept prefix by every free completion.
+
+    All prefixes have the same length k; the last n - k coordinates run
+    over `values`.  Iteration makes each point when it is read.
+    """
+
+    __slots__ = ("_prefixes", "_values", "_free")
+
+    def __init__(self, prefixes, values, free):
+        self._prefixes = prefixes
+        self._values = values
+        self._free = free
+
+    def __len__(self):
+        return len(self._prefixes) * len(self._values) ** self._free
+
+    def __iter__(self):
+        # zip(head) gives head's coordinates as 1-tuples, so `product`
+        # builds each point whole, prefix first
+        tail = (self._values,) * self._free
+        return itertools.chain.from_iterable(
+            itertools.product(*zip(head), *tail) for head in self._prefixes
+        )
 
 
 def _pin(g, k, coef, fld):
@@ -363,8 +396,12 @@ def _pin(g, k, coef, fld):
     return lambda prefix: mul(scale, value(prefix))
 
 
-def _complete(points, prefix, k, live, pins, tests, values):
-    """Append every point of the variety that extends prefix[:k].
+def _complete(prefixes, prefix, k, live, pins, tests, values):
+    """Append to `prefixes` every complete prefix that extends prefix[:k].
+
+    A prefix is complete at the level past the last variable any
+    generator uses: every completion of it is a point of the variety, so
+    it is kept as the tuple of its coordinates, not expanded.
 
     `live` lists the components that may still contain the prefix,
     pins[j][c] component c's pin on x_j (or None), and tests[j][c] the
@@ -373,14 +410,10 @@ def _complete(points, prefix, k, live, pins, tests, values):
     are pinned, x_k runs over their distinct values in ascending raw
     order, which keeps `itertools.product` order; otherwise over every
     value.  A pinned component is alive at x only when x is its pin and
-    its tests vanish.  Past the last level, every completion is a point.
+    its tests vanish.
     """
     if k == len(tests):
-        head = tuple(prefix[:k])
-        points.extend(
-            head + tail
-            for tail in itertools.product(values, repeat=len(prefix) - k)
-        )
+        prefixes.append(tuple(prefix[:k]))
         return
     level, pinned = tests[k], pins[k]
     solved = {c: pinned[c](prefix) for c in live if pinned[c] is not None}
@@ -393,7 +426,7 @@ def _complete(points, prefix, k, live, pins, tests, values):
         alive = [c for c in live if solved.get(c, x) == x
                  and all(f(prefix) == 0 for f in level[c])]
         if alive:
-            _complete(points, prefix, k + 1, alive, pins, tests, values)
+            _complete(prefixes, prefix, k + 1, alive, pins, tests, values)
 
 
 def orbit(group, point, field=None):

@@ -112,8 +112,10 @@ def verify_separating_points(candidate, group, variety, field=None):
     and one evaluation per orbit is enough: one pass over the points
     skips every point an earlier orbit reached, evaluates the candidates
     at the rest, and fails as soon as two orbits share a value tuple.
-    Orbits partition the whole space, so this is the same verdict even
-    when the variety's point set is not closed under the group.
+    The points are made as the pass reads them, so a failing check makes
+    no point past the one that fails it.  Orbits partition the whole
+    space, so this is the same verdict even when the variety's point set
+    is not closed under the group.
     """
     _check_invariance(candidate, group)
     fld = field or variety.ring.field

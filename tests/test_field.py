@@ -258,6 +258,10 @@ def test_make_field_refuses_fields_above_enum_cap():
     assert make_field(2, 3, [1, 1, 0, 1], caps=caps) == F8
     with pytest.raises(EnumerationCapExceeded, match="make_field: .* 16 "):
         make_field(2, 4, [1, 1, 0, 0, 1], caps=caps)
+    # far past the cap the order is refused unbuilt and written as a power
+    with pytest.raises(EnumerationCapExceeded,
+                       match=r"^make_field: field has 2\^100000 elements, "):
+        make_field(2, 100000, [1] + [0] * 99999 + [1])
 
 
 @pytest.mark.parametrize("field", [

@@ -457,6 +457,24 @@ def test_cli_points_field_above_enum_cap_exits_3():
     ]
 
 
+@pytest.mark.parametrize("exp", [5000, 100000])
+def test_cli_points_far_above_enum_cap_is_a_one_line_cap_error(
+    exp, monkeypatch, capsys
+):
+    # the order is refused before a modulus is looked for, and a power
+    # past the interpreter's 4,300-digit limit for str(int) is no traceback
+    def no_modulus_search(degree, p):
+        raise AssertionError("looked for a modulus")
+
+    monkeypatch.setattr(cli, "_monic_polys", no_modulus_search)
+    monkeypatch.delenv("SEPINV_ENUM_CAP", raising=False)
+    code, out = run_cli(capsys, ["verify", "-m", "id10253", "--set", "main",
+                                 "--points", f"2^{exp}"])
+    assert (code, out) == (
+        3, f"resource cap: make_field: field has 2^{exp} elements, "
+           "exceeding enum_cap 65536 (SEPINV_ENUM_CAP)\n")
+
+
 def test_cli_malformed_cap_variable_is_an_input_error():
     env = dict(os.environ, SEPINV_PAIR_CAP="abc")
     proc = subprocess.run(

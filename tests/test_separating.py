@@ -1,5 +1,7 @@
 """Tests for invariance checks, separating-set verification, and the audit."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -18,7 +20,9 @@ from sepinv import (
     verify_separating_points,
     verify_separating_symbolic,
 )
+from sepinv import separating
 from sepinv.errors import (
+    EnumerationCapExceeded,
     GroupCapExceeded,
     InternalInconsistency,
     NotInvariant,
@@ -153,6 +157,57 @@ def test_point_check_evaluates_once_per_orbit(id10253, monkeypatch):
     assert calls[0] == len(main) * len(orbits)
 
 
+def test_a_failing_point_check_reads_only_the_points_it_needs(
+    id10253, monkeypatch
+):
+    # f1-only over F_16: x1's 16 values split the 65,536 points of F_16^4
+    # into classes of 4,096, beyond any orbit of the order-8 group, and the
+    # second point read is already in the first point's class
+    F16 = make_field(2, 4, [1, 1, 0, 0, 1])
+    f1_only = id10253.candidates["f1-only"]
+    args = (f1_only, id10253.group, id10253.variety, F16)
+    view = variety_points(id10253.variety, F16)
+    assert len(view) == 16 ** 4
+    assert list(view) == list(view)
+
+    made, read = [], [0]
+
+    def probe(variety, field=None):
+        points = variety_points(variety, field)
+        made.append(len(points))
+
+        def counted():
+            for pt in points:
+                read[0] += 1
+                yield pt
+
+        return counted()
+
+    monkeypatch.setattr(separating, "variety_points", probe)
+    assert verify_separating_points(*args) is False
+    assert made == [16 ** 4] and read[0] == 2
+    monkeypatch.undo()
+
+    verify_separating_points(*args)  # warm the caches the check fills
+    tracemalloc.start()
+    try:
+        assert verify_separating_points(*args) is False
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024  # a list of all 65,536 points took ~5 MiB
+
+    # the caps still stop the call itself, before any point is made
+    capped = VarietyPresentation(id10253.ring, id10253.variety.components,
+                                 Caps(point_cap=16 ** 4 - 1))
+    with pytest.raises(EnumerationCapExceeded, match=r"^variety_points: "):
+        variety_points(capped, F16)
+    capped = VarietyPresentation(id10253.ring, id10253.variety.components,
+                                 Caps(enum_cap=15))
+    with pytest.raises(EnumerationCapExceeded, match=r"^enumerate_raw: "):
+        variety_points(capped, F16)
+
+
 EXTENSIONS = {2: make_field(2, 2, [1, 1, 1]), 3: make_field(3, 2, [1, 0, 1])}
 
 
@@ -241,6 +296,8 @@ def test_point_check_matches_the_bucket_then_orbit_oracle(case):
     candidate, group, variety, field = case
     got = verify_separating_points(candidate, group, variety, field)
     assert got is _oracle_verdict(candidate, group, variety, field)
+    view = variety_points(variety, field)
+    assert len(view) == len(list(view))
 
 
 def test_audit_concludes_on_id10253(id10253):
