@@ -23,6 +23,7 @@ from importlib import resources
 from . import bundled, config
 from .bundled import names as bundled_manifest_names
 from .errors import (
+    EnumerationCapExceeded,
     InputError,
     InternalError,
     InternalInconsistency,
@@ -310,6 +311,37 @@ def _cmd_cmdef(args, caps):
     return results, True, lines
 
 
+def _read_order(text, caps):
+    """The int a decimal order names, read a slice at a time.
+
+    So an order past the interpreter's limit on str-to-int digits is still
+    read, while one with more digits than enum_cap is refused unread.  Text
+    that is not all digits goes to int() whole: signs and underscores as
+    it takes them, anything else a ValueError.
+    """
+    if not (text.isascii() and text.isdigit()):
+        return int(text)
+    if len(text) > caps.enum_cap:
+        raise EnumerationCapExceeded(
+            f"make_field: field order has {len(text)} digits, exceeding "
+            f"enum_cap {caps.enum_cap} (SEPINV_ENUM_CAP)"
+        )
+    q = 0
+    for i in range(0, len(text), 600):  # below the least limit Python allows
+        part = text[i:i + 600]
+        q = q * 10 ** len(part) + int(part)
+    return q
+
+
+def _exponent(q, p):
+    """e with p^e == q, else ValueError; found from the bit length."""
+    e = max(0, int((q.bit_length() - 1) / math.log2(p)))
+    for e in (e, e + 1):
+        if p ** e == q:
+            return e
+    raise ValueError("not a power of p")
+
+
 def _field_for_points(bm, spec):
     """The field named by --points, e.g. '8' or '2^3', under bm's caps.
 
@@ -323,13 +355,7 @@ def _field_for_points(bm, spec):
             base, exp = text.split("^", 1)
             base, exp = int(base), int(exp)
         else:
-            q = int(text)
-            base, exp = p, 0
-            while q > 1 and q % p == 0:
-                q //= p
-                exp += 1
-            if q != 1 or exp == 0:
-                raise ValueError
+            base, exp = p, _exponent(_read_order(text, bm.variety.caps), p)
     except ValueError:
         raise ManifestError(
             f"--points {spec!r} is not a power of the base characteristic {p}"

@@ -19,6 +19,12 @@ new pairs with minimal lcms, less those the product criterion settles, so
 no pair is rescanned when popped.  The basis returned is always the
 reduced basis, sorted by increasing leading monomial, which makes it
 canonical: two ideals are equal exactly when these tuples match.
+
+Affine-linear algebra never reaches Buchberger.  Affine-linear generators
+are row-reduced by `poly._gauss_jordan`, whose reduced echelon form is
+their reduced basis, and `Ideal.intersect` on a grevlex ring splits off
+the affine-linear forms both ideals share, by intersecting row spaces, so
+that the t-trick sees only what is left once those forms are substituted.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import heapq
 
 from .config import Caps
 from .errors import ResourceCapExceeded, RingMismatch, UnitIdeal
-from .poly import GREVLEX, Block, Polynomial, PolynomialRing
+from .poly import GREVLEX, Block, Polynomial, PolynomialRing, _gauss_jordan
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +173,88 @@ def s_polynomial(f, g):
 
 
 # ---------------------------------------------------------------------------
+# affine-linear forms as rows
+# ---------------------------------------------------------------------------
+
+def _linear_columns(ring):
+    """The monomials of degree at most 1, one per row column.
+
+    The variables come in decreasing order under `ring.key`, then 1, which
+    every order puts last; so a row's first nonzero column is its lead,
+    and reduced echelon form is the reduced basis of the rows' span.
+    """
+    xs = sorted((1 << (8 * i) for i in range(ring.nvars)), key=ring.key,
+                reverse=True)
+    return xs + [0]
+
+
+def _rows(term_tuples, columns):
+    """Coefficient rows of affine-linear term tuples."""
+    index = {m: j for j, m in enumerate(columns)}
+    rows = []
+    for terms in term_tuples:
+        row = [0] * len(columns)
+        for m, c in terms:
+            row[index[m]] = c
+        rows.append(row)
+    return rows
+
+
+def _echelon_basis(rows, columns, ring):
+    """The reduced basis of the span of rows already in reduced echelon
+    form, increasing in lead: [1] once a row has its pivot on the constant."""
+    polys = []
+    for row in reversed(rows):
+        terms = tuple((m, c) for m, c in zip(columns, row) if c)
+        if terms:
+            if terms[0][0] == 0:
+                return [ring.one()]
+            polys.append(Polynomial(ring, terms))
+    return polys
+
+
+def _shared_linear(A, B, ring):
+    """The affine-linear forms in the span of both bases' elements of
+    degree at most 1, as a reduced basis.
+
+    Zassenhaus: row-reduce [[a, a] for a] + [[b, 0] for b]; the rows whose
+    left half vanishes carry a reduced echelon basis of the meet on their
+    right half.
+    """
+    columns = _linear_columns(ring)
+    w = len(columns)
+    a_rows, b_rows = (
+        _rows([g.terms for g in basis
+               if ring.mono_degree(g.leading_monomial()) <= 1], columns)
+        for basis in (A, B))
+    if not a_rows or not b_rows:
+        return []
+    rows = [r + r for r in a_rows] + [r + [0] * w for r in b_rows]
+    _gauss_jordan(ring.field, rows, 2 * w)
+    return _echelon_basis([r[w:] for r in rows if not any(r[:w])], columns, ring)
+
+
+# ---------------------------------------------------------------------------
 # Buchberger
 # ---------------------------------------------------------------------------
 
+def _check_lead(ring, lm, degree_cap):
+    if ring.mono_degree(lm) > degree_cap:
+        raise ResourceCapExceeded(
+            f"groebner_basis: leading degree {ring.mono_degree(lm)} "
+            f"exceeds degree_cap {degree_cap} (SEPINV_DEGREE_CAP)"
+        )
+
+
 def groebner_basis(gens, caps=Caps()):
-    """Reduced Groebner basis, sorted by increasing leading monomial."""
+    """Reduced Groebner basis, sorted by increasing leading monomial.
+
+    Affine-linear generators are row-reduced instead of paired: their
+    reduced echelon form, columns in decreasing variable order and the
+    constant last, is their reduced basis in every monomial order.  The
+    leads pass the same `degree_cap` check either way; `pair_cap` bounds
+    the pairs Buchberger reduces, and row reduction reduces none.
+    """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return []
@@ -184,6 +267,16 @@ def groebner_basis(gens, caps=Caps()):
     guard = ring.guard
     degree_cap = caps.degree_cap
     pair_cap = caps.pair_cap
+    gens.sort(key=lambda g: key(g.leading_monomial()))
+
+    degree = ring.mono_degree
+    if all(degree(m) <= 1 for g in gens for m, _ in g.terms):
+        for g in gens:
+            _check_lead(ring, g.leading_monomial(), degree_cap)
+        columns = _linear_columns(ring)
+        rows = _rows([g.terms for g in gens], columns)
+        _gauss_jordan(fld, rows, len(columns))
+        return _echelon_basis(rows, columns, ring)
 
     # basis entries: full term tuple plus cached lead data; polynomial
     # terms all lie in component 0, so one bucket holds every reducer
@@ -195,11 +288,7 @@ def groebner_basis(gens, caps=Caps()):
 
     def push(terms):
         lm = terms[0][0]
-        if ring.mono_degree(lm) > degree_cap:
-            raise ResourceCapExceeded(
-                f"groebner_basis: leading degree {ring.mono_degree(lm)} "
-                f"exceeds degree_cap {degree_cap} (SEPINV_DEGREE_CAP)"
-            )
+        _check_lead(ring, lm, degree_cap)
         basis.append(terms)
         lms.append(lm)
         inv = fld.inv(terms[0][1])
@@ -247,7 +336,7 @@ def groebner_basis(gens, caps=Caps()):
                     heapq.heappush(
                         heap, (ring.mono_degree(L), key(L), last[L], t, L))
 
-    for g in sorted(gens, key=lambda g: key(g.leading_monomial())):
+    for g in gens:
         update(push(g.terms))
 
     processed = 0
@@ -421,35 +510,42 @@ class Ideal:
     def intersect(self, other):
         """Ideal intersection: eliminate t from t*I + (1 - t)*J.
 
-        t is byte 0 of the block ring, so a monomial m of R is `m << 8`
-        there and `+ 1` multiplies it by t.  In a grevlex ring t*g and
-        (1 - t)*g are built term by term in order (the t-terms first, each
-        part in g's order), and the t-free part of the block basis, shifted
-        back, is already the reduced grevlex basis of the intersection;
-        other orders sort both ways.
+        On a grevlex ring the affine-linear forms C that both ideals
+        contain are split off first: `_shared_linear` intersects the spans
+        of the degree-1 elements of their reduced bases.  Both ideals
+        contain (C), and R/(C) is the polynomial ring in the variables that
+        are not leads of C, so I & J is C plus the intersection of the
+        bases reduced modulo C, which substitutes those leads; only that
+        runs through the t-trick.  What it returns holds no affine-linear
+        element, which would lie in C, so no lead of it has degree below 2
+        and no term of it holds a lead of C: C and it together are the
+        reduced basis, kept in the result.  On other orders the degree-1
+        basis elements need not span the linear forms of the ideal, and
+        the t-trick runs on the generators.
+
+        t is byte 0 of the block ring `_t_ring`, so a monomial m of R is
+        `m << 8` there and `+ 1` multiplies it by t.  In a grevlex ring
+        t*g and (1 - t)*g are built term by term in order (the t-terms
+        first, each part in g's order), and the t-free part of the block
+        basis, shifted back, is already the reduced grevlex basis of the
+        intersection; other orders sort both ways.
         """
         if other.ring != self.ring:
             raise RingMismatch("intersection across rings")
         ring = self.ring
-        fld = ring.field
-        tname = _fresh_name(ring.variables, "_t")
-        block_ring = PolynomialRing(
-            fld, (tname,) + ring.variables, Block(1, GREVLEX, GREVLEX)
-        )
-        ordered = ring.order == GREVLEX
-        gens = [_lift(block_ring, tuple(((m << 8) + 1, c) for m, c in g.terms),
-                      ordered)
-                for g in self.gens]
-        gens += [_lift(block_ring,
-                       tuple(((m << 8) + 1, fld.neg(c)) for m, c in g.terms)
-                       + tuple((m << 8, c) for m, c in g.terms), ordered)
-                 for g in other.gens]
-        gb = groebner_basis(gens, self.caps)
-        out = tuple(_lift(ring, tuple((m >> 8, c) for m, c in g.terms), ordered)
-                    for g in gb if all(not m & 0xFF for m, _ in g.terms))
+        if ring.order != GREVLEX:
+            out = _t_trick(ring, self.gens, other.gens, self.caps, False)
+            return Ideal(ring, out, self.caps)
+        A, B = self.groebner_basis(), other.groebner_basis()
+        shared = _shared_linear(A, B, ring)
+        if shared:
+            A, B = ([r for r in (normal_form(g, shared) for g in basis) if r]
+                    for basis in (A, B))
+        out = tuple(shared)
+        if A and B:
+            out += _t_trick(ring, A, B, self.caps, True)
         meet = Ideal(ring, out, self.caps)
-        if ordered:
-            meet._gb[GREVLEX] = out  # reduced, in increasing lead order
+        meet._gb[GREVLEX] = out  # reduced, in increasing lead order
         return meet
 
     # -- dimension --------------------------------------------------------------
@@ -482,6 +578,33 @@ class Ideal:
     def codimension(self):
         """Height: ambient variable count minus dimension."""
         return self.ring.nvars - self.dimension()
+
+
+def _t_ring(ring):
+    """R[t] under Block(1, GREVLEX, GREVLEX), t first, made once per ring
+    object: every intersection in R shares one block ring and its key
+    cache, which live and die with R."""
+    if ring._t_ring is None:
+        tname = _fresh_name(ring.variables, "_t")
+        ring._t_ring = PolynomialRing(ring.field, (tname,) + ring.variables,
+                                      Block(1, GREVLEX, GREVLEX))
+    return ring._t_ring
+
+
+def _t_trick(ring, A, B, caps, ordered):
+    """The t-free part of the reduced basis of t*(A) + (1 - t)*(B) in
+    `_t_ring(ring)`, back in R: generators of (A) & (B), and their reduced
+    basis when `ordered`, that is when R is grevlex."""
+    block = _t_ring(ring)
+    neg = ring.field.neg
+    gens = [_lift(block, tuple(((m << 8) + 1, c) for m, c in g.terms), ordered)
+            for g in A]
+    gens += [_lift(block, tuple(((m << 8) + 1, neg(c)) for m, c in g.terms)
+                   + tuple((m << 8, c) for m, c in g.terms), ordered)
+             for g in B]
+    gb = groebner_basis(gens, caps)
+    return tuple(_lift(ring, tuple((m >> 8, c) for m, c in g.terms), ordered)
+                 for g in gb if all(not m & 0xFF for m, _ in g.terms))
 
 
 def _lift(ring, terms, ordered):

@@ -144,6 +144,7 @@ class PolynomialRing:
         self._rawkey = order.keyfn(self.nvars)
         self._keys = {}
         self._degs = {}
+        self._t_ring = None  # R[t] of `groebner._t_ring`, made on first use
 
     # -- value identity ------------------------------------------------------
 
@@ -634,11 +635,13 @@ def _gauss_jordan(field, rows, ncols):
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(v, inv) for v in rows[r]]
+        if inv != 1:
+            rows[r] = [field.mul(v, inv) for v in rows[r]]
+        pivot = rows[r]
         for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [field.submul(a, f, b) for a, b in zip(rows[i], pivot)]
         r += 1
     return r
 

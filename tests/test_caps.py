@@ -131,3 +131,41 @@ def test_field_groebner_and_group_take_only_the_caps_type_from_config():
                     assert names == {"Caps"}, mod
                 else:
                     assert "config" not in names, mod
+
+
+# -- no cache that outlives the objects it serves -------------------------------
+
+_DICT_MAKERS = {"dict", "defaultdict", "OrderedDict", "WeakKeyDictionary",
+                "WeakValueDictionary"}
+
+
+def _name(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def test_no_cache_keyed_across_calls():
+    # Rings compare by value, so a functools cache or a module-level dict
+    # would carry R[t] and its key cache from one CLI call to the next in
+    # one process; `intersect` keeps R[t] on the ring object instead.  The
+    # argument parser's lru_cache holds no ring.
+    cached = set()
+    offenders = []
+    for mod, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                offenders.append((mod, "from functools import ..."))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    if _name(target) in ("lru_cache", "cache",
+                                         "cached_property"):
+                        cached.add((mod, node.name))
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                value = node.value
+                if isinstance(value, (ast.Dict, ast.DictComp)) or (
+                        isinstance(value, ast.Call)
+                        and _name(value.func) in _DICT_MAKERS):
+                    offenders.append((mod, ast.unparse(node)[:40]))
+    assert cached == {("cli", "_build_parser")}
+    assert offenders == []

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sepinv import Caps, Ideal, PolynomialRing, make_field
+from sepinv import Caps, Ideal, PolynomialRing, bundled, make_field
 from sepinv import groebner
 from sepinv.errors import ResourceCapExceeded, UnitIdeal
 from sepinv.groebner import (
@@ -23,6 +23,7 @@ from .oracles import (
     monomials,
     naive_from,
     naive_to,
+    rref,
 )
 
 F2 = make_field(2)
@@ -492,3 +493,158 @@ def test_intersect_hands_its_basis_to_the_result(monkeypatch):
     # a basis in another order is not kept
     assert lex_meet.groebner_basis() == [RL.parse("x*y*z")]
     assert calls == [RL]
+
+
+# -- affine-linear algebra by rows --------------------------------------------
+
+def raw_poly(data, ring, degree, terms):
+    """A polynomial of degree exactly `degree`, at most `terms` terms, with
+    raw coefficients drawn from the whole field."""
+    exps = data.draw(st.lists(
+        st.tuples(*[st.integers(0, degree)] * ring.nvars)
+        .filter(lambda e: sum(e) <= degree),
+        min_size=1, max_size=terms, unique=True)
+        .filter(lambda es: any(sum(e) == degree for e in es)))
+    coeffs = data.draw(st.lists(st.integers(1, ring.field.order - 1),
+                                min_size=len(exps), max_size=len(exps)))
+    return ring.from_dict({ring.pack(e): c for e, c in zip(exps, coeffs)})
+
+
+def affine_form(ring, row):
+    """sum row[i] * x_i + row[-1]: columns in variable order, then 1."""
+    table = {ring.var(i).leading_monomial(): c for i, c in enumerate(row[:-1])}
+    table[0] = row[-1]
+    return ring.from_dict(table)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    field=st.sampled_from([make_field(2), make_field(3), make_field(5),
+                           make_field(2, 2, [1, 1, 1])]),
+    data=st.data(),
+)
+def test_intersect_splits_off_the_shared_linear_forms(field, data):
+    # both ideals contain the affine-linear forms C (with translations);
+    # the rests are non-linear, and sometimes one side has a linear form
+    # of its own
+    ring = PolynomialRing(field, ("a", "b", "c", "d"))
+    q = field.order
+    row = st.lists(st.integers(0, q - 1), min_size=5, max_size=5) \
+        .filter(lambda r: any(r[:-1]))
+    shared = [affine_form(ring, r)
+              for r in data.draw(st.lists(row, min_size=1, max_size=2))]
+
+    def side():
+        gens = shared + [raw_poly(data, ring, 2, 3)
+                         for _ in range(data.draw(st.integers(0, 2)))]
+        if data.draw(st.booleans()):
+            gens.append(affine_form(ring, data.draw(row)))
+        return Ideal(ring, gens)
+
+    I, J = side(), side()
+    meet = I.intersect(J)
+    assert [g.terms for g in meet.gens] == \
+        [g.terms for g in intersect_by_inject(I, J)]
+    assert meet.groebner_basis() == groebner_basis(list(meet.gens))
+
+
+def test_intersect_split_edge_cases():
+    ring = PolynomialRing(F5, ("x", "y", "z", "w"))
+    C = [ring.parse("x + 2*y - 1"), ring.parse("z - w + 3")]
+    K = [ring.parse("y^2 - w"), ring.parse("y*w^2 + 1")]
+    cases = [
+        (Ideal(ring, C), Ideal(ring, C + K[:1])),            # I = (C)
+        (Ideal(ring, C + K), Ideal(ring, C + K[:1])),        # J within I
+        (Ideal(ring, C + K[:1]), Ideal(ring, C + K)),        # I within J
+        (Ideal(ring, [ring.parse("x"), ring.parse("x - 1")]),  # C is 1
+         Ideal(ring, [ring.parse("y + 1"), ring.parse("y")])),
+        (Ideal(ring, [ring.one()]), Ideal(ring, C + K)),     # I is the unit
+    ]
+    for I, J in cases:
+        meet = I.intersect(J)
+        assert [g.terms for g in meet.gens] == \
+            [g.terms for g in intersect_by_inject(I, J)]
+    assert cases[0][0].intersect(cases[0][1]) == cases[0][0]
+    assert cases[1][0].intersect(cases[1][1]) == cases[1][1]
+    assert cases[2][0].intersect(cases[2][1]) == cases[2][0]
+    assert cases[3][0].intersect(cases[3][1]).groebner_basis() == [ring.one()]
+    assert cases[4][0].intersect(cases[4][1]) == cases[4][1]
+    # a lex ring keeps the t-trick on the generators
+    lex = ring.with_order(LEX)
+    ident = list(range(ring.nvars))
+    I, J = (Ideal(lex, [g.inject(lex, ident) for g in ideal.gens])
+            for ideal in cases[0])
+    meet = I.intersect(J)
+    assert [g.terms for g in meet.gens] == \
+        [g.terms for g in intersect_by_inject(I, J)]
+    assert meet == I
+
+
+def test_the_fold_substitutes_the_shared_forms_on_one_block_ring(monkeypatch):
+    model = bundled.load("id10253").model
+    comps = model.graph_components()
+    ring = model.doubled_ring
+    steps = []  # (meet, block-ring generators) per intersection
+    real_gb = groebner.groebner_basis
+    real_intersect = Ideal.intersect
+
+    def spy(gens, caps=Caps()):
+        if isinstance(gens[0].ring.order, Block):
+            steps[-1][1].extend(gens)
+        return real_gb(gens, caps)
+
+    def intersect(self, other):
+        steps.append([None, []])
+        steps[-1][0] = real_intersect(self, other)
+        return steps[-1][0]
+
+    monkeypatch.setattr(groebner, "groebner_basis", spy)
+    monkeypatch.setattr(Ideal, "intersect", intersect)
+    model.separating_variety_radical()
+    assert len(steps) == len(comps) - 1
+    assert {id(g.ring) for _, gens in steps for g in gens} == \
+        {id(ring._t_ring)}
+    for meet, gens in steps:
+        # the degree-1 elements of the meet are the shared forms C
+        pivots = [ring.unpack(g.leading_monomial()).index(1)
+                  for g in meet.gens
+                  if ring.mono_degree(g.leading_monomial()) == 1]
+        assert pivots  # every graph ideal holds x1 + y1 and x3 + y3
+        for g in gens:
+            for m, _ in g.terms:
+                exps = g.ring.unpack(m)[1:]  # t is variable 0
+                assert not any(exps[i] for i in pivots)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    p=st.sampled_from([2, 3, 5, 7]),
+    order=st.sampled_from([GREVLEX, LEX, Block(2, GREVLEX, LEX)]),
+    data=st.data(),
+)
+def test_affine_linear_bases_are_the_reduced_echelon_form(p, order, data):
+    ring = PolynomialRing(make_field(p), ("x", "y", "z", "w"), order)
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, p - 1), min_size=5, max_size=5)
+        .filter(any), min_size=1, max_size=5))
+    gb = groebner_basis([affine_form(ring, r) for r in rows])
+    echelon = [list(r) for r in rows]
+    pivots = rref(echelon, p)
+    if pivots[-1] == 4:
+        assert gb == [ring.one()]
+    else:
+        assert gb == [affine_form(ring, r) for r in reversed(echelon)]
+        assert is_reduced_basis(gb)
+        assert spolys_reduce_to_zero(gb)
+
+
+def test_affine_linear_input_is_still_capped():
+    inconsistent = [R.parse("x + y - 1"), R.parse("x + y + 1")]
+    assert groebner_basis(inconsistent) == [R.one()]
+    with pytest.raises(
+        ResourceCapExceeded,
+        match=r"^groebner_basis: leading degree 1 exceeds degree_cap 0 "
+              r"\(SEPINV_DEGREE_CAP\)$",
+    ):
+        groebner_basis(inconsistent, Caps(degree_cap=0))
+    assert groebner_basis([R.parse("2")], Caps(degree_cap=0)) == [R.one()]

@@ -475,6 +475,37 @@ def test_cli_points_far_above_enum_cap_is_a_one_line_cap_error(
            "exceeding enum_cap 65536 (SEPINV_ENUM_CAP)\n")
 
 
+def test_cli_decimal_points_order_past_the_digit_limit_is_a_cap_error(
+    monkeypatch, capsys
+):
+    # 2^20000 has 6,021 decimal digits, past the interpreter's 4,300-digit
+    # limit for int(str); it is still read, and refused as too large
+    monkeypatch.delenv("SEPINV_ENUM_CAP", raising=False)
+    digits = _decimal(2 ** 20000)
+    assert len(digits) == 6021
+    code, out = run_cli(capsys, ["verify", "-m", "id10253", "--set", "main",
+                                 "--points", digits])
+    assert (code, out) == (
+        3, "resource cap: make_field: field has 2^20000 elements, "
+           "exceeding enum_cap 65536 (SEPINV_ENUM_CAP)\n")
+    # more digits than enum_cap: refused unread, whatever the number is
+    monkeypatch.setenv("SEPINV_ENUM_CAP", "8")
+    code, out = run_cli(capsys, ["verify", "-m", "id10253", "--set", "main",
+                                 "--points", "123456789"])
+    assert (code, out) == (
+        3, "resource cap: make_field: field order has 9 digits, exceeding "
+           "enum_cap 8 (SEPINV_ENUM_CAP)\n")
+
+
+def _decimal(n):
+    """n in decimal, in slices short enough for any int(str) digit limit."""
+    parts = []
+    while n:
+        n, low = divmod(n, 10 ** 500)
+        parts.append(str(low).zfill(500))
+    return "".join(reversed(parts)).lstrip("0") or "0"
+
+
 def test_cli_malformed_cap_variable_is_an_input_error():
     env = dict(os.environ, SEPINV_PAIR_CAP="abc")
     proc = subprocess.run(
