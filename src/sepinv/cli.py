@@ -39,6 +39,7 @@ from .manifest import Manifest
 from .poly import is_homogeneous
 from .resolution import cohen_macaulay_defect, minimal_free_resolution
 from .separating import (
+    is_invariant,
     reflection_audit,
     verify_separating_points,
     verify_separating_symbolic,
@@ -103,9 +104,6 @@ def model_facts(bm):
         "fixed_point_elements": len(k_reflections(group, variety, dim)),
         "min_reflection_number": report.min_reflections,
     }
-
-    from .separating import is_invariant
-
     facts["invariants_invariant"] = all(
         is_invariant(f, group) for f in bm.invariants.values()
     )
@@ -342,6 +340,13 @@ def _exponent(q, p):
     raise ValueError("not a power of p")
 
 
+def _shown(spec):
+    """repr(spec) for an error message; a long spec by its ends and length."""
+    if len(spec) <= 40:
+        return repr(spec)
+    return f"{spec[:16] + '...' + spec[-8:]!r} ({len(spec)} characters)"
+
+
 def _field_for_points(bm, spec):
     """The field named by --points, e.g. '8' or '2^3', under bm's caps.
 
@@ -350,6 +355,7 @@ def _field_for_points(bm, spec):
     """
     p = bm.ring.field.p
     text = spec.strip()
+    bad = f"--points {_shown(spec)} is not a power of the base characteristic {p}"
     try:
         if "^" in text:
             base, exp = text.split("^", 1)
@@ -357,13 +363,9 @@ def _field_for_points(bm, spec):
         else:
             base, exp = p, _exponent(_read_order(text, bm.variety.caps), p)
     except ValueError:
-        raise ManifestError(
-            f"--points {spec!r} is not a power of the base characteristic {p}"
-        )
+        raise ManifestError(bad)
     if base != p or exp < 1:
-        raise ManifestError(
-            f"--points {spec!r} is not a power of the base characteristic {p}"
-        )
+        raise ManifestError(bad)
     if exp > 1:
         check_order(p, exp, bm.variety.caps)
     if p ** exp == bm.ring.field.order:

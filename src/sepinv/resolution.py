@@ -31,19 +31,20 @@ basis of I.
    are minimal and D adds only linear entries, so the product is minimal as
    assembled.  r = 0 gives F(J) itself, and the zero ideal is resolved by R.
 
-Minimalization runs only on J's cascade.  Every certificate runs on the
-assembled complex: its entries must be homogeneous of the degrees its
-shifts say, its differentials must compose to zero with no unit entry, and
-the alternating sum of its shifts must equal the ideal's Hilbert numerator.
+Every complex is a `_Chain`, whose constructor certifies that each entry
+has the degree its shifts say: the cascade's, at the degrees of its leads,
+before minimalization, which runs on it alone; the assembled product's, at
+shift(b) + |S| for b (x) e_S.  The product's differentials must also
+compose to zero with no unit entry, and the alternating sum of its shifts
+must equal the ideal's Hilbert numerator.
 
 Module elements are tuples of (packed module term, coefficient), in the
 encoding of `poly`, and every module reduction runs through the reducer in
 `groebner` with the level's induced order as its key: reduction in a free
-module is polynomial reduction within one component.  The chain complex
-keeps the same packed terms: a column of a differential is a dict
-{packed term: coefficient} whose component is the row, and a
-`FreeResolution` turns a differential into rows of polynomials only when
-`matrix` asks for it.
+module is polynomial reduction within one component.  The chain keeps the
+same packed terms: a column of a differential is a dict {packed term:
+coefficient} whose component is the row id, and `FreeResolution.matrix`
+turns a differential into rows of polynomials only when asked.
 
 Everything here requires homogeneous input; the grading is what makes
 "minimal" well defined and lets depth be read off the length via the
@@ -200,55 +201,38 @@ def _syzygy_level(level, elems, caps, counter):
 # ---------------------------------------------------------------------------
 
 class _Chain:
-    """Mutable complex with stable basis ids.
+    """A complex of graded free modules with stable basis ids.
 
-    d[k] maps a column id of F_k to its image in F_{k-1}, a dict
-    {packed module term: coefficient} whose component is the row id.
+    shifts[k] maps each id of F_k to its internal degree; d[k] (d[0] is
+    empty) maps each column id of F_k to its image in F_{k-1}, a dict
+    {packed module term: coefficient} whose component is the row id.  The
+    constructor certifies that every entry has the degree its shifts say.
     """
 
-    def __init__(self, ring, columns):
-        # columns[k] for k >= 1: module elements as term tuples or dicts,
-        # coordinates in F_{k-1}; column j of level k gets id j
+    def __init__(self, ring, shifts, d):
         self.ring = ring
-        self.live = [[0]]                # live basis ids per level
-        self.shifts = [{0: 0}]           # id -> internal degree
-        self.d = [None]
-        for k in range(1, len(columns)):
-            below = self.shifts[k - 1]
-            self.live.append(list(range(len(columns[k]))))
-            shifts = {}
-            mats = {}
-            for j, elem in enumerate(columns[k]):
-                col = dict(elem)
-                c0, m0 = ring.split(next(iter(col)))
-                deg = below[c0] + ring.mono_degree(m0)
-                shifts[j] = deg
+        self.shifts = shifts
+        self.d = d
+        for k in range(1, len(d)):
+            below, degs = shifts[k - 1], shifts[k]
+            for j, col in d[k].items():
                 for t in col:
                     c, m = ring.split(t)
-                    if below[c] + ring.mono_degree(m) != deg:
+                    if below[c] + ring.mono_degree(m) != degs[j]:
                         raise InternalInconsistency("inhomogeneous differential entry")
-                mats[j] = col
-            self.shifts.append(shifts)
-            self.d.append(mats)
-
-    def length(self):
-        top = 0
-        for k in range(len(self.live)):
-            if self.live[k]:
-                top = k
-        return top
 
     def minimalize(self):
+        """Split off unit entries until none remain, then drop empty levels."""
         fld = self.ring.field
-        top = len(self.d) - 1
         progress = True
         while progress:
             progress = False
-            for i in range(1, top + 1):
-                hit = self._clear_one_unit(i, fld)
-                if hit:
+            for i in range(1, len(self.d)):
+                if self._clear_one_unit(i, fld):
                     progress = True
-        self._trim()
+        while len(self.shifts) > 1 and not self.shifts[-1]:
+            self.shifts.pop()
+            self.d.pop()
 
     def _clear_one_unit(self, i, fld):
         """Split off one unit entry of d_i by a change of basis.
@@ -289,24 +273,15 @@ class _Chain:
                         colb[s] = v
                     else:
                         colb.pop(s, None)
-        self.live[i].remove(c)
         self.shifts[i].pop(c)
-        self.live[i - 1].remove(r)
         self.shifts[i - 1].pop(r)
         if i + 1 < len(self.d):
             lo, hi = c << shift, (c + 1) << shift
             for colx in self.d[i + 1].values():
                 for t in [t for t in colx if lo <= t < hi]:
                     del colx[t]
-        if i - 1 >= 1:
-            self.d[i - 1].pop(r, None)
+        self.d[i - 1].pop(r, None)
         return True
-
-    def _trim(self):
-        while len(self.live) > 1 and not self.live[-1]:
-            self.live.pop()
-            self.shifts.pop()
-            self.d.pop()
 
     def check(self):
         """d_{i-1} after d_i must vanish, and no unit entries may remain.
@@ -344,24 +319,26 @@ class _Chain:
 
 
 def _koszul_tensor(chain, lin, caps, counter):
-    """Columns of F (x) K(lin) for a minimal complex `chain` F, for `_Chain`.
+    """The `_Chain` F (x) K(lin) for a minimal complex `chain` F.
 
     `lin` lists the linear forms as term tuples.  Level n holds b (x) e_S
-    for hdeg(b) + |S| = n: F_n itself first, then the blocks by growing |S|,
-    each S in `combinations` order and b in id order within it.  Every
-    column of homological degree 2 or more that has a Koszul factor is a
-    syzygy, and counts against `pair_cap` before it is built.
+    for hdeg(b) + |S| = n, of degree shift(b) + |S|, with ids 0, 1, ... in
+    this order: F_n itself first, then the blocks by growing |S|, each S in
+    `combinations` order and b in id order within it.  Every column of
+    homological degree 2 or more that has a Koszul factor is a syzygy, and
+    counts against `pair_cap` before it is built.
     """
     ring = chain.ring
     fld = ring.field
     shift = ring.term_shift
     r = len(lin)
     neg = [tuple((t, fld.neg(c)) for t, c in form) for form in lin]
-    ranks = [{b: i for i, b in enumerate(sorted(ids))} for ids in chain.live]
+    ranks = [{b: i for i, b in enumerate(sorted(ids))} for ids in chain.shifts]
     top = len(ranks) - 1
     subsets = [list(combinations(range(r), s)) for s in range(r + 1)]
     base = {}  # (k, S) -> id of the first b (x) e_S in level k + |S|
-    columns = [None]
+    shifts = []
+    d = []
     for n in range(top + r + 1):
         blocks = []
         start = 0
@@ -370,9 +347,8 @@ def _koszul_tensor(chain, lin, caps, counter):
                 base[n - s, S] = start
                 start += len(ranks[n - s])
                 blocks.append((n - s, S))
-        if not n:
-            continue
-        cols = []
+        degs = {}
+        cols = {}
         for k, S in blocks:
             s = len(S)
             if k:
@@ -391,9 +367,13 @@ def _koszul_tensor(chain, lin, caps, counter):
                     row = (base[k, S[:pos] + S[pos + 1:]] + i) << shift
                     for m, cf in lin[v] if (k + s - 1 - pos) % 2 == 0 else neg[v]:
                         col[row + m] = cf
-                cols.append(col)
-        columns.append(cols)
-    return columns
+                j = base[k, S] + i
+                degs[j] = chain.shifts[k][b] + s
+                if n:
+                    cols[j] = col
+        shifts.append(degs)
+        d.append(cols)
+    return _Chain(ring, shifts, d)
 
 
 # ---------------------------------------------------------------------------
@@ -494,17 +474,18 @@ def hilbert_numerator(ideal):
 # ---------------------------------------------------------------------------
 
 class FreeResolution:
-    """A minimal graded free resolution of R/I.
+    """A minimal graded free resolution of R/I, read off its `_Chain`.
 
-    shifts[k] lists the internal degrees of the level-k basis; matrix(k)
-    is the differential F_k -> F_{k-1} as rows over the target basis.
+    The chain numbers each level 0, 1, ..., so an id is its own row or
+    column: shifts[k] lists the internal degrees of the level-k basis, and
+    matrix(k) is the differential F_k -> F_{k-1} as rows over the target.
     """
 
-    def __init__(self, ring, shifts, columns):
-        # columns[k - 1]: (row ids, d_k's columns as term tuples, in order)
-        self.ring = ring
-        self.shifts = shifts
-        self._columns = columns
+    def __init__(self, chain):
+        self.ring = chain.ring
+        self.shifts = [tuple(degs[i] for i in range(len(degs)))
+                       for degs in chain.shifts]
+        self._d = chain.d
         self._matrices = {}
 
     @property
@@ -529,13 +510,12 @@ class FreeResolution:
         mat = self._matrices.get(k)
         if mat is None:
             ring = self.ring
-            rows, cols = self._columns[k - 1]
-            index = {r: n for n, r in enumerate(rows)}
-            table = [[{} for _ in cols] for _ in rows]
-            for j, col in enumerate(cols):
-                for t, cf in col:
+            cols = self._d[k]
+            table = [[{} for _ in cols] for _ in self.shifts[k - 1]]
+            for j, col in cols.items():
+                for t, cf in col.items():
                     r, m = ring.split(t)
-                    table[index[r]][j][m] = cf
+                    table[r][j][m] = cf
             mat = tuple(tuple(ring.from_dict(e) for e in row) for row in table)
             self._matrices[k] = mat
         return mat
@@ -588,31 +568,26 @@ def minimal_free_resolution(ideal):
     basis = _sort_basis([g.terms for g in gb], ring)
     lin = [e for e in basis if ring.mono_degree(e[0][0]) == 1]
     cur = [e for e in basis if ring.mono_degree(e[0][0]) > 1]
-    columns = [None]
+    shifts = [{0: 0}]
+    d = [{}]
     level = _Level(ring)
     counter = [0]
     while cur:
-        if len(columns) > ring.nvars + 1:
+        if len(d) > ring.nvars + 1:
             raise InternalInconsistency("syzygy cascade failed to terminate")
-        columns.append(cur)
+        below = shifts[-1]  # a column has the degree of its lead
+        shifts.append({j: below[c] + ring.mono_degree(m) for j, (c, m)
+                       in enumerate(ring.split(e[0][0]) for e in cur)})
+        d.append({j: dict(e) for j, e in enumerate(cur)})
         nxt, syz = _syzygy_level(level, cur, ideal.caps, counter)
         cur = _sort_basis(_interreduce(syz, ring, nxt.key), ring)
         level = nxt
-    cascade = _Chain(ring, columns)
+    cascade = _Chain(ring, shifts, d)
     cascade.minimalize()
 
-    chain = _Chain(ring, _koszul_tensor(cascade, lin, ideal.caps, counter))
+    chain = _koszul_tensor(cascade, lin, ideal.caps, counter)
     chain.check()
-
-    shifts = []
-    columns = []
-    for k in range(len(chain.live)):
-        ids = sorted(chain.live[k])
-        shifts.append(tuple(chain.shifts[k][i] for i in ids))
-        if k >= 1:
-            columns.append((sorted(chain.live[k - 1]),
-                            [tuple(chain.d[k][c].items()) for c in ids]))
-    res = FreeResolution(ring, shifts, columns)
+    res = FreeResolution(chain)
 
     expected = hilbert_numerator(ideal)
     if res.euler_characteristic() != expected:

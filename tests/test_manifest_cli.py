@@ -497,6 +497,25 @@ def test_cli_decimal_points_order_past_the_digit_limit_is_a_cap_error(
            "enum_cap 8 (SEPINV_ENUM_CAP)\n")
 
 
+@pytest.mark.parametrize("prefix", ["3", "2^"])
+def test_cli_long_points_spec_is_a_one_line_input_error(
+    prefix, monkeypatch, capsys
+):
+    # 3 followed by the digits of 2^20000 is no power of 2, and 2^<those
+    # digits> has an exponent past the digit limit of int(str): each error
+    # shows the spec's ends and its length, not the whole spec
+    monkeypatch.delenv("SEPINV_ENUM_CAP", raising=False)
+    spec = prefix + _decimal(2 ** 20000)
+    code, out = run_cli(capsys, ["verify", "-m", "id10253", "--set", "main",
+                                 "--points", spec])
+    assert code == 2
+    line, = out.splitlines()
+    assert line == (
+        f"error: --points {spec[:16] + '...' + spec[-8:]!r} "
+        f"({len(spec)} characters) is not a power of the base characteristic 2")
+    assert len(line) < 120
+
+
 def _decimal(n):
     """n in decimal, in slices short enough for any int(str) digit limit."""
     parts = []

@@ -306,16 +306,39 @@ def test_chain_check_runs_on_the_assembled_koszul_tensor(monkeypatch):
     mono = (1 << R3v.term_shift) - 1
 
     def tampered(*args):
-        columns = assemble(*args)
-        col, t = next((c, t) for c in columns[2] if len(c) > 1
+        chain = assemble(*args)
+        col, t = next((c, t) for c in chain.d[2].values() if len(c) > 1
                       for t in c if (t & mono) == x)
         col[t] = F5.neg(col[t])
-        return columns
+        return chain
 
     monkeypatch.setattr(resolution, "_koszul_tensor", tampered)
     with pytest.raises(InternalInconsistency,
                        match="^composite differential is nonzero$"):
         minimal_free_resolution(Ideal(R3v, I.gens))
+
+
+def test_chain_rejects_entries_that_disagree_with_their_shift(monkeypatch):
+    # the top column of the assembled (x, y^2, z^2) complex, times y: its
+    # entries share one degree, one more than its shift says
+    assemble = resolution._koszul_tensor
+    chains = []
+
+    def keep(*args):
+        chains.append(assemble(*args))
+        return chains[-1]
+
+    monkeypatch.setattr(resolution, "_koszul_tensor", keep)
+    I = Ideal(R3v, [R3v.parse("x"), R3v.parse("y^2"), R3v.parse("z^2")])
+    assert minimal_free_resolution(I).betti_numbers() == [1, 3, 3, 1]
+    chain, = chains
+    assert chain.shifts[3] == {0: 5}
+    _Chain(R3v, chain.shifts, chain.d)
+    y = R3v.pack((0, 1, 0))
+    chain.d[3][0] = {t + y: c for t, c in chain.d[3][0].items()}
+    with pytest.raises(InternalInconsistency,
+                       match="^inhomogeneous differential entry$"):
+        _Chain(R3v, chain.shifts, chain.d)
 
 
 @pytest.mark.parametrize("gens", [
@@ -362,14 +385,16 @@ def koszul_chain(ring):
         [[y, z, zero], [-x, zero, z], [zero, -x, -y]],
         [[z], [-y], [x]],
     ]
-    columns = [None]
-    for mat in mats:
-        columns.append([
-            tuple((ring.term(r, m), c)
-                  for r, row in enumerate(mat) for m, c in row[j].terms)
+    shifts = [{0: 0}]
+    d = [{}]
+    for k, mat in enumerate(mats, 1):
+        shifts.append({j: k for j in range(len(mat[0]))})
+        d.append({
+            j: {ring.term(r, m): c
+                for r, row in enumerate(mat) for m, c in row[j].terms}
             for j in range(len(mat[0]))
-        ])
-    return _Chain(ring, columns)
+        })
+    return _Chain(ring, shifts, d)
 
 
 def test_chain_check_rejects_a_nonzero_composite():
