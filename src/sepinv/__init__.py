@@ -16,6 +16,7 @@ from .group import (
     enumerate_group,
     fixed_locus_codim,
     generated_by,
+    is_invariant,
     k_reflections,
     min_reflection_number,
     orbit,
@@ -42,7 +43,6 @@ from .resolution import (
 from .separating import (
     AuditReport,
     SeparatingCandidate,
-    is_invariant,
     reflection_audit,
     verify_separating_points,
     verify_separating_symbolic,

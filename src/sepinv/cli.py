@@ -34,12 +34,19 @@ from .errors import (
     ResourceCapExceeded,
 )
 from .field import _monic_polys, check_order, make_field
-from .group import fixed_locus_codim, k_reflections, min_reflection_number
-from .manifest import Manifest
-from .poly import is_homogeneous
-from .resolution import cohen_macaulay_defect, minimal_free_resolution
-from .separating import (
+from .group import (
+    fixed_locus_codim,
     is_invariant,
+    k_reflections,
+    min_reflection_number,
+)
+from .manifest import Manifest
+from .resolution import (
+    cohen_macaulay_defect,
+    is_graded,
+    minimal_free_resolution,
+)
+from .separating import (
     reflection_audit,
     verify_separating_points,
     verify_separating_symbolic,
@@ -80,10 +87,6 @@ def _expected_checks(name):
 
 
 # -- fact collection ---------------------------------------------------------
-
-
-def _graded(ideal):
-    return all(is_homogeneous(g) is not None for g in ideal.gens)
 
 
 def model_facts(bm):
@@ -132,24 +135,19 @@ def model_facts(bm):
         for name, cand in bm.candidates.items()
     }
 
-    cmdefs = {}
+    named = {}
     if bm.invariants:
-        diff = model.invariant_difference_ideal()
-        cmdefs["differences"] = (
-            cohen_macaulay_defect(diff) if _graded(diff) else None
-        )
-    cmdefs["radical"] = (
-        cohen_macaulay_defect(radical) if _graded(radical) else None
-    )
-    for name, ideal in bm.ideals.items():
-        cmdefs[name] = (
-            cohen_macaulay_defect(ideal) if _graded(ideal) else None
-        )
-    facts["cmdef"] = cmdefs
+        named["differences"] = model.invariant_difference_ideal()
+    named["radical"] = radical
+    named.update(bm.ideals)
+    facts["cmdef"] = {
+        name: cohen_macaulay_defect(ideal) if is_graded(ideal) else None
+        for name, ideal in named.items()
+    }
 
     if not variety.is_affine_space():
         presented = variety.ideal()
-        if _graded(presented):
+        if is_graded(presented):
             facts["cmdef_coordinate_ring"] = cohen_macaulay_defect(presented)
 
     facts["audit_conclusion"] = report.conclusion

@@ -2,7 +2,9 @@
 
 A group is enumerated breadth-first from its generators, so the element
 order is deterministic: identity first, then words of length 1 in
-generator order, then words of length 2, and so on.  Fixed loci are cut
+generator order, then words of length 2, and so on.  The group acts on
+functions by f |-> f(sigma(x)); `require_invariant` is the one check that
+a polynomial is an invariant of the variety's ring.  Fixed loci are cut
 out by the linear equations sigma(x) - x on each component, and their
 codimension is measured against the dimension of the whole variety.
 """
@@ -19,12 +21,13 @@ from .errors import (
     GroupCapExceeded,
     InvalidArgument,
     NotGeneratedByFixedPointElements,
+    NotInvariant,
     RingMismatch,
     UnitIdeal,
     VarietyNotPreserved,
 )
 from .groebner import Ideal
-from .poly import AffineMap, compose_affine
+from .poly import AffineMap, compose_affine, coordinate_images
 
 
 class FiniteGroup:
@@ -129,6 +132,32 @@ def _closure(ident, generators, cap=math.inf):
     return elements
 
 
+def invariance_offender(f, group):
+    """The first group generator that moves f, or None."""
+    for sigma in group.generators:
+        if compose_affine(f, sigma) != f:
+            return sigma
+    return None
+
+
+def is_invariant(f, group):
+    """Is f fixed by the action?  Checking generators suffices."""
+    return invariance_offender(f, group) is None
+
+
+def require_invariant(polys, group, ring):
+    """Raise unless each polynomial is over `ring` and fixed by the group.
+
+    `ring` is the variety's: a foreign polynomial would be read by position.
+    """
+    for f in polys:
+        if f.ring != ring:
+            raise RingMismatch(f"polynomial over {f.ring}, variety over {ring}")
+        offender = invariance_offender(f, group)
+        if offender is not None:
+            raise NotInvariant(f, offender)
+
+
 class VarietyPresentation:
     """An affine variety described by the prime ideals of its components.
 
@@ -229,13 +258,9 @@ def fixed_locus_codim(sigma, variety):
 
 def _moved_equations(sigma, ring):
     """The nonzero sigma(x_i) - x_i: together they cut out sigma's fixed points."""
-    equations = []
-    for i in range(ring.nvars):
-        xi = ring.var(i)
-        moved = compose_affine(xi, sigma) - xi
-        if not moved.is_zero():
-            equations.append(moved)
-    return equations
+    moved = (image - ring.var(i)
+             for i, image in enumerate(coordinate_images(sigma, ring)))
+    return [m for m in moved if not m.is_zero()]
 
 
 def _locus_codim(variety, ring, gens):
@@ -260,13 +285,16 @@ def k_reflections(group, variety, k):
     return [s for s in group if fixed_locus_codim(s, variety) <= k]
 
 
-def _graph_connected(count, edge):
+def _graph_connected(count, codim, k):
+    """Are the components connected by the edges with codim(a, b) <= k?"""
+    if k < 0:
+        raise InvalidArgument("k must be nonnegative")
     seen = {0}
     stack = [0]
     while stack:
         a = stack.pop()
         for b in range(count):
-            if b not in seen and edge(a, b):
+            if b not in seen and codim(a, b) <= k:
                 seen.add(b)
                 stack.append(b)
     return len(seen) == count
@@ -292,11 +320,9 @@ def variety_pairwise_codim(variety, i, j):
 
 def variety_connected_in_codim(variety, k):
     """Is X's component graph connected when edges need codim <= k?"""
-    if k < 0:
-        raise InvalidArgument("k must be nonnegative")
-    count = len(variety.components)
     return _graph_connected(
-        count, lambda a, b: variety_pairwise_codim(variety, a, b) <= k
+        len(variety.components),
+        lambda a, b: variety_pairwise_codim(variety, a, b), k,
     )
 
 

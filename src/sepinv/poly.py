@@ -502,7 +502,7 @@ class AffineMap:
     def __init__(self, field, matrix, translation=None):
         n = len(matrix)
         # Prime-field entries may be any integers (reduced mod p); extension
-        # entries are raw encodings already.
+        # entries are raw encodings already, checked to lie in [0, q) below.
         norm = (lambda v: v % field.p) if field.e == 1 else (lambda v: v)
         rows = []
         for row in matrix:
@@ -517,6 +517,10 @@ class AffineMap:
         self.matrix = tuple(rows)
         self.translation = tuple(norm(v) for v in translation)
         self.n = n
+        entries = (v for row in (*self.matrix, self.translation) for v in row)
+        if field.e > 1 and not all(0 <= v < field.order for v in entries):
+            raise ValueError(f"entries over {field} must be raw encodings "
+                             f"in [0, {field.order})")
         if _gauss_jordan(field, [list(r) for r in self.matrix], n) != n:
             raise ValueError("matrix is not invertible")
 
@@ -646,23 +650,30 @@ def _gauss_jordan(field, rows, ncols):
     return r
 
 
-def compose_affine(f, sigma):
-    """The action on functions: f |-> f(sigma(x))."""
-    ring = f.ring
+def coordinate_images(sigma, ring):
+    """sigma*(x_i) = sum_j A_ij x_j + b_i for each i, as polynomials of `ring`.
+
+    These are the images `compose_affine` substitutes; read directly, they
+    give sigma's fixed-point equations and its graph.
+    """
     if ring.nvars != sigma.n:
         raise DimensionMismatch(
             f"polynomial in {ring.nvars} variables, map of dimension {sigma.n}"
         )
+    if ring.field != sigma.field:
+        raise RingMismatch(f"map over {sigma.field} acting on {ring}")
     images = []
-    for i in range(sigma.n):
-        d = {}
-        for j in range(sigma.n):
-            if sigma.matrix[i][j]:
-                d[1 << (_W * j)] = sigma.matrix[i][j]
-        if sigma.translation[i]:
-            d[0] = ring.field.add(d.get(0, 0), sigma.translation[i])
+    for row, b in zip(sigma.matrix, sigma.translation):
+        d = {1 << (_W * j): a for j, a in enumerate(row) if a}
+        if b:
+            d[0] = b
         images.append(ring.from_dict(d))
-    return f.substitute(images)
+    return images
+
+
+def compose_affine(f, sigma):
+    """The action on functions: f |-> f(sigma(x))."""
+    return f.substitute(coordinate_images(sigma, f.ring))
 
 
 # ---------------------------------------------------------------------------

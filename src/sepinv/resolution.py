@@ -43,12 +43,14 @@ encoding of `poly`, and every module reduction runs through the reducer in
 `groebner` with the level's induced order as its key: reduction in a free
 module is polynomial reduction within one component.  The chain keeps the
 same packed terms: a column of a differential is a dict {packed term:
-coefficient} whose component is the row id, and `FreeResolution.matrix`
-turns a differential into rows of polynomials only when asked.
+coefficient} whose component is the row id.  `FreeResolution` keeps each
+column as a tuple of those items, and its `matrix` turns a differential
+into rows of polynomials only when asked.
 
-Everything here requires homogeneous input; the grading is what makes
-"minimal" well defined and lets depth be read off the length via the
-graded form of the Auslander-Buchsbaum formula.  The Hilbert numerator
+Everything here requires homogeneous input, which `is_graded` tests for
+every caller; the grading is what makes "minimal" well defined and lets
+depth be read off the length via the graded form of the
+Auslander-Buchsbaum formula.  The Hilbert numerator
 that cross-checks every resolution comes from the lead-term ideal alone,
 by Bigatti's pivot recursion.
 """
@@ -454,15 +456,19 @@ def _kpoly(gens, ring, memo):
     return memo[gens]
 
 
+def is_graded(ideal):
+    """Are all generators homogeneous, so that a graded resolution applies?"""
+    return all(is_homogeneous(g) is not None for g in ideal.gens)
+
+
 def hilbert_numerator(ideal):
     """Numerator of the Hilbert series of R/I over (1-t)^n, as {degree: int}.
 
     Computed purely combinatorially from the lead-term ideal, so it serves
     as an independent cross-check on resolutions.
     """
-    for g in ideal.gens:
-        if is_homogeneous(g) is None:
-            raise NonHomogeneousInput("Hilbert numerator needs homogeneous generators")
+    if not is_graded(ideal):
+        raise NonHomogeneousInput("Hilbert numerator needs homogeneous generators")
     ring = ideal.ring
     gb = ideal.groebner_basis()
     lms = frozenset(_minimal_monos([g.leading_monomial() for g in gb], ring))
@@ -479,13 +485,16 @@ class FreeResolution:
     The chain numbers each level 0, 1, ..., so an id is its own row or
     column: shifts[k] lists the internal degrees of the level-k basis, and
     matrix(k) is the differential F_k -> F_{k-1} as rows over the target.
+    Each differential is kept as a tuple of columns, each a tuple of
+    (packed term, coefficient): long-lived dicts would cost memory.
     """
 
     def __init__(self, chain):
         self.ring = chain.ring
         self.shifts = [tuple(degs[i] for i in range(len(degs)))
                        for degs in chain.shifts]
-        self._d = chain.d
+        self._d = [tuple(tuple(cols[j].items()) for j in range(len(cols)))
+                   for cols in chain.d]
         self._matrices = {}
 
     @property
@@ -512,8 +521,8 @@ class FreeResolution:
             ring = self.ring
             cols = self._d[k]
             table = [[{} for _ in cols] for _ in self.shifts[k - 1]]
-            for j, col in cols.items():
-                for t, cf in col.items():
+            for j, col in enumerate(cols):
+                for t, cf in col:
                     r, m = ring.split(t)
                     table[r][j][m] = cf
             mat = tuple(tuple(ring.from_dict(e) for e in row) for row in table)
@@ -555,11 +564,10 @@ class FreeResolution:
 def minimal_free_resolution(ideal):
     """Minimal graded free resolution of R/I for a homogeneous ideal I."""
     ring = ideal.ring
-    for g in ideal.gens:
-        if is_homogeneous(g) is None:
-            raise NonHomogeneousInput(
-                "free resolutions require homogeneous generators"
-            )
+    if not is_graded(ideal):
+        raise NonHomogeneousInput(
+            "free resolutions require homogeneous generators"
+        )
     gb = ideal.groebner_basis()
     if gb and gb[0].leading_monomial() == 0:
         raise UnitIdeal("R/I is the zero ring")

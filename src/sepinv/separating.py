@@ -2,10 +2,13 @@
 
 A set S of invariants is separating when it tells apart everything the
 full invariant ring tells apart.  Symbolically that is an equality of
-radicals in the doubled ring; over a finite field it can also be probed
-by brute force, comparing S-value buckets with group orbits.  The point
-check is necessary evidence only: the symbolic claim lives over the
-algebraic closure.
+radicals in the doubled ring: S's difference ideal, built by
+`SepVarietyModel.difference_ideal`, against the separating variety's
+radical.  Over a finite field it can also be probed by brute force,
+comparing S-value buckets with group orbits.  The point check is
+necessary evidence only: the symbolic claim lives over the algebraic
+closure.  Both routes first require S to be over the variety's ring and
+invariant, through `group.require_invariant`.
 
 The audit ties the package together: it checks the hypotheses under
 which connectivity and Cohen-Macaulay data force reflection generation,
@@ -17,30 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInconsistency, NotInvariant, RingMismatch
-from .groebner import Ideal
+from .errors import InternalInconsistency, RingMismatch
 from .group import (
     generated_by,
     k_reflections,
     min_reflection_number,
+    require_invariant,
     variety_connected_in_codim,
     variety_points,
 )
-from .poly import compose_affine, is_homogeneous
-from .resolution import cohen_macaulay_defect
-
-
-def invariance_offender(f, group):
-    """The first group generator that moves f, or None."""
-    for sigma in group.generators:
-        if compose_affine(f, sigma) != f:
-            return sigma
-    return None
-
-
-def is_invariant(f, group):
-    """Is f fixed by the action?  Checking generators suffices."""
-    return invariance_offender(f, group) is None
+from .resolution import cohen_macaulay_defect, is_graded
 
 
 class SeparatingCandidate:
@@ -62,30 +51,14 @@ class SeparatingCandidate:
         return f"SeparatingCandidate({self.name!r}, {len(self)} polynomials)"
 
 
-def _check_invariance(candidate, group):
-    for g in candidate.polynomials:
-        offender = invariance_offender(g, group)
-        if offender is not None:
-            raise NotInvariant(g, offender)
-
-
 def verify_separating_symbolic(candidate, model):
     """Is the candidate separating?  Decided by radical membership.
 
-    The candidate's difference ideal (plus the variety's ambient
-    relations on both coordinate copies) must have the same radical as
-    the separating variety's vanishing ideal.  The ambient relations lie
-    in that ideal itself, so plain membership answers them.
+    The candidate's difference ideal (`SepVarietyModel.difference_ideal`,
+    with the variety's ambient relations on both coordinate copies) must
+    have the same radical as the separating variety's vanishing ideal.
     """
-    _check_invariance(candidate, model.group)
-    gens = [
-        model.inject_x(g) - model.inject_y(g) for g in candidate.polynomials
-    ]
-    if not model.variety.is_affine_space():
-        ambient = model.variety.ideal()
-        gens += [model.inject_x(g) for g in ambient.gens]
-        gens += [model.inject_y(g) for g in ambient.gens]
-    return _same_radical(Ideal(model.doubled_ring, gens, model.variety.caps), model)
+    return _same_radical(model.difference_ideal(candidate.polynomials), model)
 
 
 def _same_radical(ideal, model):
@@ -117,7 +90,7 @@ def verify_separating_points(candidate, group, variety, field=None):
     space, so this is the same verdict even when the variety's point set
     is not closed under the group.
     """
-    _check_invariance(candidate, group)
+    require_invariant(candidate.polynomials, group, variety.ring)
     fld = field or variety.ring.field
     points = variety_points(variety, fld)
     maps = [s.point_map(fld) for s in group]
@@ -199,7 +172,7 @@ def reflection_audit(model, candidates=(), ideals=(), cm_asserted=None):
         cohen_macaulay, cm_source = True, "automatic"
     else:
         ambient = variety.ideal()
-        if all(is_homogeneous(g) is not None for g in ambient.gens):
+        if is_graded(ambient):
             cohen_macaulay = cohen_macaulay_defect(ambient) == 0
             cm_source = "computed"
         else:

@@ -6,11 +6,15 @@ components are the graphs H = {(x, sigma x) : x in X_i} of group
 elements restricted to components of X, so the whole object lives in a
 doubled polynomial ring: one x-copy and one y-copy of the coordinates.
 
-The model below builds those graph ideals, deduplicates them (distinct
-pairs (sigma, i) can produce the same graph), intersects them into the
+The model below builds the difference ideal (f(x) - f(y)) of any set
+of invariants, and the graph ideals from sigma's coordinate images
+(`poly.coordinate_images`).  It deduplicates the graphs (distinct pairs
+(sigma, i) can produce the same graph), intersects them into the
 radical of the difference ideal, and measures how the components meet.
 Every pairwise codimension is computed twice, once in the doubled ring
-and once back on X, and the two answers are required to agree.
+and once back on X, and the two answers are required to agree.  The
+graph's connectivity follows X's own rule, `group._graph_connected`.
+This module builds on `group` alone.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .errors import (
     EquivalenceViolation,
     InternalInconsistency,
     InvalidArgument,
-    NotInvariant,
 )
 from .groebner import Ideal
 from .group import (
@@ -33,11 +36,11 @@ from .group import (
     fixed_locus_codim,
     generated_by,
     k_reflections,
+    require_invariant,
     variety_connected_in_codim,
     variety_points,
 )
-from .poly import GREVLEX, PolynomialRing, compose_affine
-from .separating import invariance_offender
+from .poly import GREVLEX, PolynomialRing, coordinate_images
 
 
 def _mirror_names(names):
@@ -122,29 +125,30 @@ class SepVarietyModel:
 
     # -- the difference ideal ----------------------------------------------
 
-    def invariant_difference_ideal(self):
-        """The ideal generated by f(x) - f(y) over the supplied invariants.
+    def difference_ideal(self, polys):
+        """The ideal generated by f(x) - f(y) over the given polynomials.
 
         When X is a proper subvariety, the vanishing ideal of X x X is
         included on both copies, so the result presents a quotient of the
         coordinate ring of X x X rather than of the doubled ambient space.
-        Each invariant is checked against the group generators first; a
-        non-invariant entry would silently break every later conclusion.
+        Each polynomial must lie in X's ring and be fixed by the group
+        generators; anything else would silently break every later
+        conclusion.
         """
+        require_invariant(polys, self.group, self.base_ring)
+        gens = [self.inject_x(f) - self.inject_y(f) for f in polys]
+        if not self.variety.is_affine_space():
+            for g in self.variety.ideal().gens:
+                gens.append(self.inject_x(g))
+                gens.append(self.inject_y(g))
+        return Ideal(self.doubled_ring, gens, self.variety.caps)
+
+    def invariant_difference_ideal(self):
+        """The difference ideal of the supplied invariants, made once."""
         if self._difference is None:
             if not self.invariants:
                 raise InvalidArgument("the model was built without invariants")
-            gens = []
-            for f in self.invariants:
-                offender = invariance_offender(f, self.group)
-                if offender is not None:
-                    raise NotInvariant(f, offender)
-                gens.append(self.inject_x(f) - self.inject_y(f))
-            if not self.variety.is_affine_space():
-                for g in self.variety.ideal().gens:
-                    gens.append(self.inject_x(g))
-                    gens.append(self.inject_y(g))
-            self._difference = Ideal(self.doubled_ring, gens, self.variety.caps)
+            self._difference = self.difference_ideal(self.invariants)
         return self._difference
 
     # -- graph components ---------------------------------------------------
@@ -154,8 +158,7 @@ class SepVarietyModel:
         comp = self.variety.components[i]
         gens = [self.inject_x(g) for g in comp.gens]
         n = self.base_ring.nvars
-        for j in range(n):
-            image = compose_affine(self.base_ring.var(j), sigma)
+        for j, image in enumerate(coordinate_images(sigma, self.base_ring)):
             gens.append(self.doubled_ring.var(n + j) - self.inject_x(image))
         return Ideal(self.doubled_ring, gens, self.variety.caps)
 
@@ -295,11 +298,8 @@ def connected_in_codim(obj, k):
     connectedness.
     """
     if isinstance(obj, SepVarietyModel):
-        if k < 0:
-            raise InvalidArgument("k must be nonnegative")
-        count = len(obj.graph_components())
         return _graph_connected(
-            count, lambda a, b: obj.pairwise_intersection_codim(a, b) <= k
+            len(obj.graph_components()), obj.pairwise_intersection_codim, k
         )
     if isinstance(obj, VarietyPresentation):
         return variety_connected_in_codim(obj, k)

@@ -97,15 +97,31 @@ def _modules():
         yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
 
 
-def _callers(node, name, where="<module>"):
-    """The function around each call of `name`, bare or as an attribute."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        where = node.name
-    if isinstance(node, ast.Call) and name in (
-            getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+def _sites(node, match, where="<module>"):
+    """The definition around each node that `match` accepts, as a dotted
+    path of classes and functions ("SepVarietyModel.difference_ideal")."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name if where == "<module>" else f"{where}.{node.name}"
+    if match(node):
         yield where
     for child in ast.iter_child_nodes(node):
-        yield from _callers(child, name, where)
+        yield from _sites(child, match, where)
+
+
+def _is_call(node, name):
+    """Is `node` a call of `name`, bare or as an attribute?"""
+    return isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def _callers(node, name):
+    """The definition around each call of `name`."""
+    return _sites(node, lambda n: _is_call(n, name))
+
+
+def _all_sites(match, skip=()):
+    return sorted({(mod, where) for mod, tree in _modules() if mod not in skip
+                   for where in _sites(tree, match)})
 
 
 def test_only_cli_main_reads_the_cap_variables():
@@ -169,3 +185,71 @@ def test_no_cache_keyed_across_calls():
                     offenders.append((mod, ast.unparse(node)[:40]))
     assert cached == {("cli", "_build_parser")}
     assert offenders == []
+
+
+# -- each separating-variety rule is said once ------------------------------
+
+
+def _splits_f_across_the_copies(node):
+    # inject_x(f) - inject_y(f): one generator of a difference ideal
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+            and _is_call(node.left, "inject_x")
+            and _is_call(node.right, "inject_y"))
+
+
+def _is_variable(node):
+    return _is_call(node, "var") or _is_call(node, "var_named")
+
+
+def _composes_a_variable(node):
+    # compose_affine(ring.var(i), sigma), directly or through a local name:
+    # a coordinate image that `coordinate_images` already gives
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return False
+    variables = {
+        target.id for n in ast.walk(node)
+        if isinstance(n, ast.Assign) and _is_variable(n.value)
+        for target in n.targets if isinstance(target, ast.Name)
+    }
+    return any(
+        _is_call(n, "compose_affine") and n.args and (
+            _is_variable(n.args[0])
+            or getattr(n.args[0], "id", None) in variables)
+        for n in ast.walk(node)
+    )
+
+
+def test_each_separating_variety_rule_has_one_home():
+    assert _all_sites(lambda n: _is_call(n, "NotInvariant")) == [
+        ("group", "require_invariant")]
+    assert _all_sites(_splits_f_across_the_copies) == [
+        ("sepvar", "SepVarietyModel.difference_ideal")]
+    assert _all_sites(lambda n: _is_call(n, "is_homogeneous"),
+                      skip=("poly",)) == [("resolution", "is_graded")]
+    assert _all_sites(_composes_a_variable) == []
+    assert _all_sites(lambda n: _is_call(n, "_graph_connected")) == [
+        ("group", "variety_connected_in_codim"),
+        ("sepvar", "connected_in_codim"),
+    ]
+    assert _all_sites(lambda n: isinstance(n, ast.Constant)
+                      and n.value == "k must be nonnegative") == [
+        ("group", "_graph_connected"), ("group", "k_reflections")]
+
+
+# Each module imports only from modules of a lower layer; sepvar and
+# separating share a layer and so do not import each other.
+_LAYERS = ["errors", "config", "field poly", "groebner", "group resolution",
+           "sepvar separating", "manifest", "bundled", "cli"]
+
+
+def test_module_imports_run_in_one_direction():
+    layer = {mod: i for i, names in enumerate(_LAYERS) for mod in names.split()}
+    for mod, tree in _modules():
+        if mod not in layer:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                used = ([node.module] if node.module
+                        else [a.name for a in node.names])
+                for dep in used:
+                    assert layer[dep] < layer[mod], (mod, dep)

@@ -349,6 +349,28 @@ def test_cli_verify_points_over_the_manifests_own_extension_field(tmp_path, caps
     assert "point check over the field with 16 elements" in out
 
 
+
+@pytest.mark.parametrize("generator", [
+    {"matrix": [[0, 7], [1, 0]]},
+    {"matrix": [[0, 1], [1, 0]], "translation": [0, 9]},
+    {"matrix": [[0, -1], [-1, 0]]},
+], ids=["entry-7", "translation-9", "entry--1"])
+def test_cli_extension_entries_outside_the_field_are_input_errors(
+        generator, tmp_path, capsys):
+    # F_4 entries are raw encodings in [0, 4): 7 and 9 used to end in an
+    # IndexError, and -1 in a wrong group of order 3 with exit 0
+    doc = valid_doc()
+    doc["field"] = {"p": 2, "e": 2, "modulus": [1, 1, 1]}
+    doc["generators"] = [generator]
+    path = tmp_path / "swap4.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, ["group", "analyze", "-m", str(path)])
+    assert code == 2
+    assert out.splitlines() == [
+        "error: generators[0]: entries over F_2^2 must be raw encodings "
+        "in [0, 4)"]
+
+
 def test_cli_negative_codim_is_an_input_error(capsys):
     code, out = run_cli(
         capsys, ["sepvar", "connectivity", "-m", "additive-2", "--codim", "-1"])

@@ -14,7 +14,14 @@ from sepinv.errors import (
     RingMismatch,
     UnknownVariable,
 )
-from sepinv.poly import GREVLEX, LEX, Block, is_homogeneous
+from sepinv.poly import (
+    GREVLEX,
+    LEX,
+    Block,
+    compose_affine,
+    coordinate_images,
+    is_homogeneous,
+)
 
 from .oracles import (
     block_key,
@@ -306,6 +313,53 @@ def test_affine_map_validation_and_reduction():
         AffineMap(F5, [[1, 2], [2, 4]])
     with pytest.raises(DimensionMismatch):
         AffineMap(F5, [[1, 0], [0]])
+
+
+
+@pytest.mark.parametrize("matrix,translation", [
+    ([[0, 7], [1, 0]], None),
+    ([[0, 1], [1, 0]], [0, 9]),
+    ([[0, -1], [-1, 0]], None),
+], ids=["entry-7", "translation-9", "entry--1"])
+def test_affine_map_rejects_extension_entries_outside_the_field(
+        matrix, translation):
+    # extension entries are raw encodings: 7 and 9 used to index past the
+    # log tables, and -1 used to make a map of the wrong order
+    with pytest.raises(ValueError, match=r"raw encodings in \[0, 4\)$"):
+        AffineMap(F4, matrix, translation)
+    assert AffineMap(F4, [[0, 3], [2, 0]], [1, 3]).matrix == ((0, 3), (2, 0))
+
+
+def test_coordinate_images_are_the_images_of_the_variables():
+    rng = random.Random(5)
+    for field in (F5, F4):
+        ring = PolynomialRing(field, ("x", "y", "z"))
+        for _ in range(10):
+            try:
+                sigma = AffineMap(
+                    field, [[rng.randrange(field.order) for _ in range(3)]
+                            for _ in range(3)],
+                    [rng.randrange(field.order) for _ in range(3)])
+            except ValueError:
+                continue
+            images = coordinate_images(sigma, ring)
+            assert images == [compose_affine(ring.var(i), sigma)
+                              for i in range(3)]
+            pt = tuple(rng.randrange(field.order) for _ in range(3))
+            assert tuple(g.evaluate(pt) for g in images) == \
+                sigma.apply_point(pt)
+
+
+def test_the_action_rejects_a_map_over_another_field():
+    sigma = AffineMap(F2, [[0, 1], [1, 0]])
+    ring = PolynomialRing(F5, ("x", "y"))
+    for call in (lambda: coordinate_images(sigma, ring),
+                 lambda: compose_affine(ring.parse("x"), sigma)):
+        with pytest.raises(RingMismatch,
+                           match=r"^map over F_2 acting on F_5\[x, y\]$"):
+            call()
+    with pytest.raises(DimensionMismatch):
+        coordinate_images(AffineMap.identity(F5, 3), ring)
 
 
 def test_affine_map_group_operations():

@@ -70,6 +70,28 @@ def test_verification_rejects_non_invariant_candidates(id10253):
         verify_separating_points(cand, id10253.group, id10253.variety)
 
 
+
+def test_polynomials_from_a_foreign_ring_are_rejected(id10253):
+    # these used to pass: x1 over F_3 as invariant, and the invariants
+    # renamed into F_2[a, b, c, d] read by variable position
+    G, model = id10253.group, id10253.model
+    f3 = PolynomialRing(make_field(3), id10253.ring.variables)
+    with pytest.raises(RingMismatch, match=r"^map over F_2 acting on F_3\["):
+        is_invariant(f3.parse("x1"), G)
+    renamed = PolynomialRing(F2, ("a", "b", "c", "d"))
+    cand = SeparatingCandidate("renamed", [
+        f.inject(renamed, range(4)) for f in id10253.invariants.values()])
+    foreign = (r"^polynomial over F_2\[a, b, c, d\], "
+               r"variety over F_2\[x1, x2, x3, x4\]$")
+    with pytest.raises(RingMismatch, match=foreign):
+        verify_separating_symbolic(cand, model)
+    with pytest.raises(RingMismatch, match=foreign):
+        verify_separating_points(cand, G, id10253.variety)
+    with pytest.raises(RingMismatch, match=foreign):
+        verify_separating_points(cand, G, id10253.variety,
+                                 make_field(2, 2, [1, 1, 1]))
+
+
 def test_two_planes_candidates(two_planes):
     model = two_planes.model
     restricted = two_planes.candidates["restricted"]

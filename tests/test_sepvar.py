@@ -17,7 +17,7 @@ from sepinv import (
     variety_points,
 )
 from sepinv import bundled, group, sepvar
-from sepinv.errors import InternalInconsistency, NotInvariant
+from sepinv.errors import InternalInconsistency, NotInvariant, RingMismatch
 from sepinv.group import _locus_codim, _moved_equations, orbit
 from sepinv.sepvar import _mirror_names
 
@@ -55,6 +55,27 @@ def test_declared_invariants_are_checked():
         bad.invariant_difference_ideal()
     with pytest.raises(ValueError):
         SepVarietyModel(X, G).invariant_difference_ideal()
+
+
+
+def test_a_model_rejects_invariants_from_a_foreign_ring(id10253):
+    # x1 over F_3 used to reach the F_2 doubled ring as raw coefficients
+    f3 = PolynomialRing(make_field(3), id10253.ring.variables)
+    model = SepVarietyModel(id10253.variety, id10253.group, [f3.parse("x1")])
+    for call in (model.invariant_difference_ideal,
+                 model.separating_variety_radical):
+        with pytest.raises(RingMismatch, match=r"^polynomial over F_3\["):
+            call()
+    renamed = PolynomialRing(F2, ("a", "b", "c", "d"))
+    with pytest.raises(RingMismatch, match=r"^polynomial over F_2\[a,"):
+        id10253.model.difference_ideal([renamed.parse("a")])
+
+
+def test_difference_ideal_of_the_invariants_is_made_once(id10253):
+    model = id10253.model
+    diff = model.invariant_difference_ideal()
+    assert model.invariant_difference_ideal() is diff
+    assert model.difference_ideal(model.invariants) == diff
 
 
 def test_difference_ideal_generators(additive2):
