@@ -29,18 +29,19 @@ from .errors import (
     InternalInconsistency,
     InvalidArgument,
     ManifestError,
-    NotGeneratedByFixedPointElements,
     ReducibleModulus,
     ResourceCapExceeded,
 )
 from .field import _monic_polys, check_order, make_field
 from .group import (
+    NOT_FIXED_POINT_GENERATED,
     fixed_locus_codim,
     is_invariant,
     k_reflections,
     min_reflection_number,
 )
 from .manifest import Manifest
+from .poly import read_decimal
 from .resolution import (
     cohen_macaulay_defect,
     is_graded,
@@ -135,15 +136,14 @@ def model_facts(bm):
         for name, cand in bm.candidates.items()
     }
 
-    named = {}
-    if bm.invariants:
-        named["differences"] = model.invariant_difference_ideal()
-    named["radical"] = radical
-    named.update(bm.ideals)
-    facts["cmdef"] = {
-        name: cohen_macaulay_defect(ideal) if is_graded(ideal) else None
-        for name, ideal in named.items()
-    }
+    makers = _ideal_makers(bm)
+    if not bm.invariants:
+        del makers["differences"]
+    facts["cmdef"] = {}
+    for name, make in makers.items():
+        ideal = make()
+        facts["cmdef"][name] = (cohen_macaulay_defect(ideal)
+                                if is_graded(ideal) else None)
 
     if not variety.is_affine_space():
         presented = variety.ideal()
@@ -174,12 +174,8 @@ def _cmd_group_analyze(args, caps):
     dim = variety.dimension()
     table = {str(k): len(k_reflections(group, variety, k))
              for k in range(dim + 1)}
-    try:
-        least = min_reflection_number(group, variety)
-        reason = None
-    except NotGeneratedByFixedPointElements:
-        least = None
-        reason = "the group is not generated by elements with a fixed point"
+    least = min_reflection_number(group, variety)
+    reason = NOT_FIXED_POINT_GENERATED if least is None else None
     results = {
         "order": len(group),
         "dimension": dim,
@@ -208,18 +204,17 @@ def _cmd_group_analyze(args, caps):
 def _cmd_sepvar_build(args, caps):
     bm = _load_model(args.manifest, caps)
     components = bm.model.graph_components()
-    elements = list(bm.group.elements)
     rows = []
     for comp in components:
         rows.append({
-            "element": elements.index(comp.sigma),
+            "element": comp.aliases[0][0],
             "component": comp.component,
             "dimension": comp.dimension,
             "aliases": [list(a) for a in comp.aliases],
         })
     results = {
         "count": len(components),
-        "graphs_considered": len(elements) * len(bm.variety.components),
+        "graphs_considered": len(bm.group) * len(bm.variety.components),
         "components": rows,
     }
     lines = [f"separating variety: {len(components)} irreducible component(s) "
@@ -260,24 +255,34 @@ def _cmd_sepvar_connectivity(args, caps):
     return results, True, lines
 
 
-def _named_ideal(bm, name):
-    if name == "differences":
-        return bm.model.invariant_difference_ideal()
-    if name == "radical":
-        return bm.model.separating_variety_radical()
-    if name in bm.ideals:
-        return bm.ideals[name]
-    known = ["differences", "radical"] + sorted(bm.ideals)
-    raise ManifestError(f"unknown ideal {name!r}; known: {', '.join(known)}")
+def _ideal_makers(bm):
+    """The model's named ideals, each by the call that makes it.
+
+    `differences`, `radical`, then the manifest's ideals by name (the
+    model's two names win over a manifest ideal of the same name);
+    nothing is computed until its maker is called.
+    """
+    makers = {
+        "differences": bm.model.invariant_difference_ideal,
+        "radical": bm.model.separating_variety_radical,
+    }
+    for name in sorted(bm.ideals):
+        makers.setdefault(name, functools.partial(bm.ideals.get, name))
+    return makers
 
 
 def _cmd_cmdef(args, caps):
     bm = _load_model(args.manifest, caps)
-    ideal = _named_ideal(bm, args.ideal)
+    makers = _ideal_makers(bm)
+    if args.ideal not in makers:
+        raise ManifestError(f"unknown ideal {args.ideal!r}; "
+                            f"known: {', '.join(makers)}")
+    ideal = makers[args.ideal]()
     res = minimal_free_resolution(ideal)
     nvars = ideal.ring.nvars
     pd = res.length
-    depth = nvars - pd
+    depth = res.depth
+    cmdef = cohen_macaulay_defect(ideal)
     dim = ideal.dimension()
     graded = res.graded_betti()
     degrees = sorted({d for (_, d) in graded})
@@ -290,7 +295,7 @@ def _cmd_cmdef(args, caps):
         "dimension": dim,
         "projective_dimension": pd,
         "depth": depth,
-        "cmdef": dim - depth,
+        "cmdef": cmdef,
         "betti_numbers": res.betti_numbers(),
         "betti_rows": rows,
     }
@@ -300,7 +305,7 @@ def _cmd_cmdef(args, caps):
         f"dimension: {dim}",
         f"projective dimension: {pd}",
         f"depth: {depth}",
-        f"cmdef: {dim - depth}",
+        f"cmdef: {cmdef}",
         "betti table:",
         res.betti_table(),
     ]
@@ -322,11 +327,7 @@ def _read_order(text, caps):
             f"make_field: field order has {len(text)} digits, exceeding "
             f"enum_cap {caps.enum_cap} (SEPINV_ENUM_CAP)"
         )
-    q = 0
-    for i in range(0, len(text), 600):  # below the least limit Python allows
-        part = text[i:i + 600]
-        q = q * 10 ** len(part) + int(part)
-    return q
+    return read_decimal(text, int)
 
 
 def _exponent(q, p):

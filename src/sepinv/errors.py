@@ -85,10 +85,6 @@ class GroupCapExceeded(ResourceCapExceeded):
     pass
 
 
-class NotGeneratedByFixedPointElements(SepinvError):
-    pass
-
-
 class VarietyNotPreserved(InputError):
     """A group generator fails to permute the variety's components."""
 

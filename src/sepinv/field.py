@@ -47,18 +47,28 @@ from .errors import (
 )
 
 
+# Miller-Rabin to the prime bases up to 41 is exact below this bound, the
+# least strong pseudoprime to all of them (Sorenson and Webster 2017).  The
+# bases up to 37 alone pass 318665857834031151167461, a composite.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Is n prime?  Deterministic Miller-Rabin; InvalidArgument for an n
+    too large for its bases to decide."""
+    if n >= _EXACT_BELOW:
+        raise InvalidArgument(
+            f"primality is decided exactly only below {_EXACT_BELOW}"
+        )
+    if n < 2 or any(n % a == 0 for a in _WITNESSES):
+        return n in _WITNESSES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
             return False
-        d += 2
     return True
 
 

@@ -7,6 +7,9 @@ functions by f |-> f(sigma(x)); `require_invariant` is the one check that
 a polynomial is an invariant of the variety's ring.  Fixed loci are cut
 out by the linear equations sigma(x) - x on each component, and their
 codimension is measured against the dimension of the whole variety.
+`min_reflection_number` answers every question of the form "do the
+k-reflections generate the group?", and it is the package's one caller
+of `generated_by`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .errors import (
     EnumerationCapExceeded,
     GroupCapExceeded,
     InvalidArgument,
-    NotGeneratedByFixedPointElements,
     NotInvariant,
     RingMismatch,
     UnitIdeal,
@@ -462,16 +464,20 @@ def orbit(group, point, field=None):
     return sorted({s.point_map(field)(point) for s in group})
 
 
-def min_reflection_number(group, variety):
-    """The least m such that the m-reflections generate the group.
+NOT_FIXED_POINT_GENERATED = (
+    "the group is not generated by elements with a fixed point"
+)
 
-    Searches m = 0, 1, ..., dim X.  If even the elements with a fixed
-    point fail to generate, no m works and the group is simply not
-    generated by fixed-point elements on this variety.
+
+def min_reflection_number(group, variety):
+    """The least m such that the m-reflections generate the group, or None.
+
+    Searches m = 0, 1, ..., dim X.  The m-reflections grow with m, so the
+    k-reflections generate the group exactly when m is not None and
+    m <= k.  None means that even the elements with a fixed point fail to
+    generate (`NOT_FIXED_POINT_GENERATED`), so no k works.
     """
     for m in range(variety.dimension() + 1):
         if generated_by(group, k_reflections(group, variety, m)):
             return m
-    raise NotGeneratedByFixedPointElements(
-        "the group is not generated by elements with a fixed point"
-    )
+    return None

@@ -41,7 +41,6 @@ from .errors import (
     NonPrimeCharacteristic,
     PolynomialSyntaxError,
     ReducibleModulus,
-    RingMismatch,
     UnknownVariable,
 )
 from .field import make_field
@@ -49,7 +48,7 @@ from .groebner import Ideal
 from .group import VarietyPresentation, enumerate_group
 from .poly import GREVLEX, AffineMap, PolynomialRing
 from .separating import SeparatingCandidate
-from .sepvar import SepVarietyModel, _mirror_names
+from .sepvar import SepVarietyModel, doubled_ring
 
 _TOP_KEYS = frozenset((
     "schema", "name", "field", "n", "variables", "generators",
@@ -177,10 +176,7 @@ class Manifest:
             _expect(v, str, "variables")
         try:
             ring = PolynomialRing(field, tuple(variables), GREVLEX)
-            doubled = PolynomialRing(
-                field, tuple(variables) + _mirror_names(tuple(variables)),
-                GREVLEX,
-            )
+            doubled = doubled_ring(ring)
         except ValueError as exc:
             _fail("variables", str(exc))
 
@@ -278,7 +274,7 @@ class Manifest:
                 doc = json.load(fh)
         except OSError as exc:
             raise ManifestError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSONDecodeError, or an int too long
             raise ManifestError(f"{path} is not valid JSON: {exc}") from exc
         return cls.from_dict(doc, caps)
 
@@ -295,8 +291,5 @@ class Manifest:
                       for key, polys in self.candidates.items()}
         ideals = {key: Ideal(self.doubled_ring, gens, caps)
                   for key, gens in self.ideals.items()}
-        built = BundledModel(self.name, variety, group, self.invariants,
-                             candidates, ideals, self.relations)
-        if built.model.doubled_ring != self.doubled_ring:
-            raise RingMismatch("doubled ring disagrees with the manifest")
-        return built
+        return BundledModel(self.name, variety, group, self.invariants,
+                            candidates, ideals, self.relations)

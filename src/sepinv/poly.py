@@ -680,6 +680,20 @@ def compose_affine(f, sigma):
 # parsing and rendering
 # ---------------------------------------------------------------------------
 
+_DIGITS = 600  # below the least str-to-int digit limit Python allows
+
+
+def read_decimal(digits, reduce):
+    """The number a string of decimal digits names, read _DIGITS at a time
+    and passed through `reduce` after each slice: `int` keeps it whole, a
+    field's `from_int` reads a literal of any length in linear time."""
+    r = 0
+    for i in range(0, len(digits), _DIGITS):
+        part = digits[i:i + _DIGITS]
+        r = reduce(r * 10 ** len(part) + int(part))
+    return r
+
+
 def _tokenize(text):
     tokens = []
     i = 0
@@ -689,11 +703,11 @@ def _tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # what int() reads: isdigit() would take "²"
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
-            tokens.append(("INT", int(text[i:j]), i))
+            tokens.append(("INT", text[i:j], i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -712,80 +726,70 @@ def _tokenize(text):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, ring):
-        self.tokens = tokens
-        self.pos = 0
-        self.ring = ring
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.advance()
-        if tok[0] != kind:
-            raise PolynomialSyntaxError(f"expected {kind}, got {tok[1]!r}", tok[2])
-        return tok
-
-    def parse_expr(self):
-        value = self.parse_term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            rhs = self.parse_term()
-            value = value + rhs if op == "+" else value - rhs
-        return value
-
-    def parse_term(self):
-        value = self.parse_factor()
-        while self.peek()[0] == "*":
-            self.advance()
-            value = value * self.parse_factor()
-        return value
-
-    def parse_factor(self):
-        negate = False
-        while self.peek()[0] in ("+", "-"):
-            if self.advance()[0] == "-":
-                negate = not negate
-        value = self.parse_base()
-        while self.peek()[0] == "^":
-            self.advance()
-            tok = self.expect("INT")
-            value = value ** tok[1]
-        return -value if negate else value
-
-    def parse_base(self):
-        tok = self.advance()
-        kind, val, pos = tok
-        ring = self.ring
-        if kind == "INT":
-            return ring.constant(ring.field.from_int(val))
-        if kind == "NAME":
-            if val in ring.variables:
-                return ring.var_named(val)
-            if ring.field.e > 1 and val == ring.field.gen_name:
-                return ring.constant(ring.field.p)  # raw encoding of the generator
-            raise UnknownVariable(val, pos)
-        if kind == "(":
-            value = self.parse_expr()
-            self.expect(")")
-            return value
-        raise PolynomialSyntaxError(f"unexpected token {val!r}", pos)
-
-
 def parse(text, ring):
-    """Parse the polynomial grammar: integers, variables, + - * ^ ( )."""
-    parser = _Parser(_tokenize(text), ring)
-    value = parser.parse_expr()
-    end = parser.peek()
-    if end[0] != "END":
-        raise PolynomialSyntaxError(f"trailing input {end[1]!r}", end[2])
-    return value
+    """Parse the polynomial grammar: integers, variables, + - * ^ ( ).
+
+    A sum is terms joined by + and -, a term is factors joined by *, and a
+    factor is any number of signs, then an integer, a variable or a
+    parenthesised sum, then any number of ^ exponents; signs bind looser
+    than ^.  Open parentheses wait on a list, not on Python's stack, so
+    nesting is bounded by memory alone.
+    """
+    tokens = _tokenize(text)
+    outer = []  # per open parenthesis, the level it interrupts
+    total, op, prod = ring.zero(), "+", ring.one()
+    pos = 0
+    while True:
+        negate = False
+        while tokens[pos][0] in ("+", "-"):
+            negate ^= tokens[pos][0] == "-"
+            pos += 1
+        kind, val, at = tokens[pos]
+        pos += 1
+        if kind == "(":
+            outer.append((total, op, prod, negate))
+            total, op, prod = ring.zero(), "+", ring.one()
+            continue
+        if kind == "INT":
+            value = ring.constant(read_decimal(val, ring.field.from_int))
+        elif kind == "NAME" and val in ring.variables:
+            value = ring.var_named(val)
+        elif kind == "NAME" and ring.field.e > 1 and val == ring.field.gen_name:
+            value = ring.constant(ring.field.p)  # raw encoding of the generator
+        elif kind == "NAME":
+            raise UnknownVariable(val, at)
+        else:
+            raise PolynomialSyntaxError(f"unexpected token {val!r}", at)
+        while True:  # value is a whole base: finish its factor and term
+            while tokens[pos][0] == "^":
+                kind, digits, at = tokens[pos + 1]
+                pos += 2
+                if kind != "INT":
+                    raise PolynomialSyntaxError(
+                        f"expected INT, got {digits!r}", at)
+                if len(digits) > _DIGITS:
+                    raise PolynomialSyntaxError(
+                        f"exponent has more than {_DIGITS} digits", at)
+                value = value ** int(digits)
+            prod = prod * (-value if negate else value)
+            kind, val, at = tokens[pos]
+            pos += 1
+            if kind == "*":
+                break
+            total = total + prod if op == "+" else total - prod
+            prod = ring.one()
+            if kind in ("+", "-"):
+                op = kind
+                break
+            if kind == ")" and outer:  # the sum is a base of the level out
+                value = total
+                total, op, prod, negate = outer.pop()
+                continue
+            if outer:
+                raise PolynomialSyntaxError(f"expected ), got {val!r}", at)
+            if kind != "END":
+                raise PolynomialSyntaxError(f"trailing input {val!r}", at)
+            return total
 
 
 def render(f):

@@ -501,6 +501,11 @@ class FreeResolution:
     def length(self):
         return len(self.shifts) - 1
 
+    @property
+    def depth(self):
+        """depth R/I = n - pd R/I, the Auslander-Buchsbaum formula."""
+        return self.ring.nvars - self.length
+
     def betti_numbers(self):
         return [len(s) for s in self.shifts]
 
@@ -614,5 +619,4 @@ def cohen_macaulay_defect(ideal):
     res = ideal._resolution
     if res is None:
         res = minimal_free_resolution(ideal)
-    depth = ideal.ring.nvars - res.length
-    return ideal.dimension() - depth
+    return ideal.dimension() - res.depth

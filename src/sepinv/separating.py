@@ -13,7 +13,9 @@ invariant, through `group.require_invariant`.
 The audit ties the package together: it checks the hypotheses under
 which connectivity and Cohen-Macaulay data force reflection generation,
 draws the implied conclusion when everything holds, and then verifies
-that conclusion independently against the group itself.
+that conclusion independently against the group itself: a concluded
+bound must be at least the least k that `group.min_reflection_number`
+computes directly.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInconsistency, RingMismatch
 from .group import (
-    generated_by,
-    k_reflections,
+    NOT_FIXED_POINT_GENERATED,
     min_reflection_number,
     require_invariant,
     variety_connected_in_codim,
@@ -119,8 +120,8 @@ class AuditReport:
     `reflection_bound` is the least m for which the audit could conclude
     that m-reflections generate the group; None when some hypothesis
     failed or no witness was supplied.  `min_reflections` is the direct
-    computation, present whenever the group is generated by elements
-    with fixed points.
+    computation, `group.min_reflection_number`: None exactly when the
+    group is not generated by elements with fixed points.
     """
 
     dimension: int
@@ -147,9 +148,9 @@ def reflection_audit(model, candidates=(), ideals=(), cm_asserted=None):
       Cohen-Macaulay defect c, with X connected and the group generated
       by fixed-point elements, forces generation by (c+1)-reflections.
 
-    Every concluded bound is re-verified directly on the group; a
-    mismatch raises InternalInconsistency, since the conclusion would
-    otherwise be unsound.
+    Every concluded bound is re-verified against the least k computed
+    directly on the group; a bound below it raises InternalInconsistency,
+    since the conclusion would otherwise be unsound.
 
     `ideals` is a list of (name, Ideal) pairs over the doubled ring;
     `cm_asserted` overrides the Cohen-Macaulay check when the caller
@@ -181,18 +182,13 @@ def reflection_audit(model, candidates=(), ideals=(), cm_asserted=None):
                 "Cohen-Macaulay status not computed: inhomogeneous presentation"
             )
 
-    fixed_point_generated = generated_by(
-        group, k_reflections(group, variety, dim)
-    )
+    min_reflections = min_reflection_number(group, variety)
+    fixed_point_generated = min_reflections is not None
     if not fixed_point_generated:
         notes.append(
             "some elements act without fixed points, so no reflection bound "
             "of any codimension can generate; this hypothesis cannot be dropped"
         )
-
-    min_reflections = (
-        min_reflection_number(group, variety) if fixed_point_generated else None
-    )
 
     candidate_rows = []
     gamma_upper_bound = None
@@ -235,7 +231,7 @@ def reflection_audit(model, candidates=(), ideals=(), cm_asserted=None):
 
     if bound is not None:
         conclusion = f"the group is generated by {bound}-reflections"
-        if not generated_by(group, k_reflections(group, variety, bound)):
+        if bound < min_reflections:
             raise InternalInconsistency(
                 "the concluded reflection bound fails direct verification"
             )
@@ -244,9 +240,7 @@ def reflection_audit(model, candidates=(), ideals=(), cm_asserted=None):
         if not connected:
             reasons.append("X is disconnected")
         if not fixed_point_generated:
-            reasons.append(
-                "the group is not generated by elements with a fixed point"
-            )
+            reasons.append(NOT_FIXED_POINT_GENERATED)
         if cohen_macaulay is False:
             reasons.append("X is not Cohen-Macaulay")
         elif cohen_macaulay is None:

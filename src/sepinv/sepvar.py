@@ -6,9 +6,10 @@ components are the graphs H = {(x, sigma x) : x in X_i} of group
 elements restricted to components of X, so the whole object lives in a
 doubled polynomial ring: one x-copy and one y-copy of the coordinates.
 
-The model below builds the difference ideal (f(x) - f(y)) of any set
-of invariants, and the graph ideals from sigma's coordinate images
-(`poly.coordinate_images`).  It deduplicates the graphs (distinct pairs
+The model below builds the doubled ring (`doubled_ring`, which the
+manifest's ideals are parsed in too), the difference ideal (f(x) - f(y))
+of any set of invariants, and the graph ideals from sigma's coordinate
+images (`poly.coordinate_images`).  It deduplicates the graphs (distinct pairs
 (sigma, i) can produce the same graph), intersects them into the
 radical of the difference ideal, and measures how the components meet.
 Every pairwise codimension is computed twice, once in the doubled ring
@@ -34,8 +35,7 @@ from .group import (
     _locus_codim,
     _moved_equations,
     fixed_locus_codim,
-    generated_by,
-    k_reflections,
+    min_reflection_number,
     require_invariant,
     variety_connected_in_codim,
     variety_points,
@@ -58,6 +58,13 @@ def _mirror_names(names):
     if len(set(out)) != len(out) or set(out) & set(names):
         out = [f"y_{i + 1}" for i in range(len(names))]
     return tuple(out)
+
+
+def doubled_ring(ring):
+    """X x X's ring: the variables of `ring`, then their mirrored y-copies."""
+    return PolynomialRing(
+        ring.field, ring.variables + _mirror_names(ring.variables), GREVLEX
+    )
 
 
 class GraphComponent:
@@ -87,6 +94,8 @@ class SepVarietyModel:
     """Everything needed to reason about one group action's separating variety."""
 
     def __init__(self, variety, group, invariants=None):
+        """The invariants' difference ideal is made here, so an invariant
+        that is not one, or is over another ring, is refused at once."""
         ring = variety.ring
         if group.field != ring.field or group.n != ring.nvars:
             raise DimensionMismatch("group and variety disagree on the ambient space")
@@ -94,15 +103,13 @@ class SepVarietyModel:
         self.variety = variety
         self.group = group
         self.base_ring = ring
-        y_names = _mirror_names(ring.variables)
-        self.doubled_ring = PolynomialRing(
-            ring.field, ring.variables + y_names, GREVLEX
-        )
+        self.doubled_ring = doubled_ring(ring)
         self.invariants = tuple(invariants) if invariants else ()
         n = ring.nvars
         self._x_map = list(range(n))
         self._y_map = [n + i for i in range(n)]
-        self._difference = None
+        self._difference = (self.difference_ideal(self.invariants)
+                            if self.invariants else None)
         self._graph = None
         self._radical = None
         self._pair = {}
@@ -144,11 +151,9 @@ class SepVarietyModel:
         return Ideal(self.doubled_ring, gens, self.variety.caps)
 
     def invariant_difference_ideal(self):
-        """The difference ideal of the supplied invariants, made once."""
+        """The difference ideal of the supplied invariants, made with the model."""
         if self._difference is None:
-            if not self.invariants:
-                raise InvalidArgument("the model was built without invariants")
-            self._difference = self.difference_ideal(self.invariants)
+            raise InvalidArgument("the model was built without invariants")
         return self._difference
 
     # -- graph components ---------------------------------------------------
@@ -323,13 +328,13 @@ def connectivity_equivalence_check(model, k):
     is connected in codimension k and the group is generated by
     k-reflections.  Both sides are computed from scratch; a mismatch is
     a hard error, because it can only come from a bug here, not from bad
-    input.
+    input.  The reflection side reads the least k,
+    `group.min_reflection_number`.
     """
     left = connected_in_codim(model, k)
     vconn = connected_in_codim(model.variety, k)
-    refl = generated_by(
-        model.group, k_reflections(model.group, model.variety, k)
-    )
+    least = min_reflection_number(model.group, model.variety)
+    refl = least is not None and least <= k
     if left != (vconn and refl):
         raise EquivalenceViolation(
             f"separating variety connectivity in codim {k} is {left}, but X "

@@ -236,6 +236,40 @@ def test_each_separating_variety_rule_has_one_home():
         ("group", "_graph_connected"), ("group", "k_reflections")]
 
 
+# -- each reflection-generation and model fact is said once -----------------
+
+
+def _subtracts_a_length_from_nvars(node):
+    # nvars - res.length, directly or through a local name: the depth
+    # that FreeResolution.depth already gives
+    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return False
+    lengths = {
+        target.id for n in ast.walk(node)
+        if isinstance(n, ast.Assign) and _name(n.value) == "length"
+        for target in n.targets if isinstance(target, ast.Name)
+    }
+    return any(
+        isinstance(n, ast.BinOp) and isinstance(n.op, ast.Sub)
+        and _name(n.left) == "nvars"
+        and (_name(n.right) == "length" or _name(n.right) in lengths)
+        for n in ast.walk(node)
+    )
+
+
+def test_each_reflection_and_model_fact_has_one_home():
+    assert _all_sites(lambda n: _is_call(n, "generated_by")) == [
+        ("group", "min_reflection_number")]
+    assert _all_sites(lambda n: isinstance(n, ast.Constant)
+                      and isinstance(n.value, str)
+                      and "not generated by elements with a fixed point"
+                      in n.value) == [("group", "<module>")]
+    assert _all_sites(lambda n: _is_call(n, "_mirror_names")) == [
+        ("sepvar", "doubled_ring")]
+    assert _all_sites(_subtracts_a_length_from_nvars) == [
+        ("resolution", "FreeResolution.depth")]
+
+
 # Each module imports only from modules of a lower layer; sepvar and
 # separating share a layer and so do not import each other.
 _LAYERS = ["errors", "config", "field poly", "groebner", "group resolution",

@@ -1,5 +1,7 @@
 """Tests for prime and extension field arithmetic."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from sepinv import Caps, make_field
 from sepinv.errors import (
     DivisionByZero,
     EnumerationCapExceeded,
+    InvalidArgument,
     MissingModulus,
     NonPrimeCharacteristic,
     ReducibleModulus,
@@ -27,6 +30,30 @@ def test_is_prime_small_values():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
     assert not is_prime(0)
     assert not is_prime(1)
+
+
+def test_is_prime_agrees_with_trial_division_below_10_5():
+    small = [d for d in range(2, 317) if all(d % e for e in range(2, d))]
+    assert [n for n in range(10 ** 5) if is_prime(n)] == [
+        n for n in range(2, 10 ** 5)
+        if all(n % d for d in small if d * d <= n)]
+
+
+def test_large_characteristics_are_decided_at_once():
+    start = time.perf_counter()
+    assert is_prime(2 ** 61 - 1)
+    assert make_field(2 ** 61 - 1).order == 2 ** 61 - 1
+    assert time.perf_counter() - start < 1
+    for carmichael in (561, 41041):
+        assert not is_prime(carmichael)
+        with pytest.raises(NonPrimeCharacteristic):
+            make_field(carmichael)
+    # a strong pseudoprime to every prime base up to 37
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(InvalidArgument, match=(
+            "^primality is decided exactly only below "
+            "3317044064679887385961981$")):
+        make_field(2 ** 89 - 1)
 
 
 def test_prime_field_basic_ops():

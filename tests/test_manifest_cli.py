@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -389,6 +390,66 @@ def test_cli_differences_without_invariants_is_an_input_error(tmp_path, capsys):
     assert out.splitlines() == ["error: the model was built without invariants"]
 
 
+def write_manifest(tmp_path, doc):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("text,code,err", [
+    ("(" * 10_000 + "x1 + x2" + ")" * 10_000, 0, ""),
+    ("(" * 10_000 + "x1 + x2", 2,
+     "error: invariants.e1: expected ), got None (at position 10007)\n"),
+    ("7" * 5000 + "*(x1 + x2)", 0, ""),
+], ids=["nested", "unclosed", "long-literal"])
+def test_cli_long_polynomials_end_without_a_traceback(text, code, err,
+                                                      tmp_path, capsys):
+    # 10,000 parentheses used to raise RecursionError, and a literal past
+    # the 4,300-digit limit of int(str) a ValueError
+    doc = valid_doc()
+    doc["invariants"]["e1"] = text
+    path = write_manifest(tmp_path, doc)
+    assert main(["group", "analyze", "-m", path]) == code
+    assert capsys.readouterr().err == err
+
+
+def test_cli_large_characteristics(tmp_path, capsys):
+    doc = valid_doc()
+    doc["field"] = {"p": 2 ** 61 - 1}
+    start = time.perf_counter()
+    code, out = run_cli(capsys, ["group", "analyze", "-m",
+                                 write_manifest(tmp_path, doc)])
+    assert time.perf_counter() - start < 1
+    assert code == 0, out
+    doc["field"] = {"p": 2 ** 89 - 1}
+    code, out = run_cli(capsys, ["group", "analyze", "-m",
+                                 write_manifest(tmp_path, doc)])
+    assert (code, out) == (2, "error: field: primality is decided exactly "
+                              "only below 3317044064679887385961981\n")
+
+
+def test_cli_manifest_integer_past_the_digit_limit_is_an_input_error(
+        tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"name": "long", "field": {"p": %s}}' % ("1" * 5000))
+    code, out = run_cli(capsys, ["group", "analyze", "-m", str(path)])
+    assert code == 2
+    line, = out.splitlines()
+    assert line.startswith(f"error: {path} is not valid JSON: ")
+
+
+@pytest.mark.parametrize("command", [["sepvar", "build"], ["group", "analyze"]])
+def test_cli_declared_invariants_are_checked_when_the_model_is_built(
+        command, tmp_path, capsys):
+    doc = valid_doc()
+    doc["invariants"] = {"e1": "x1"}
+    code, out = run_cli(capsys, [*command, "-m", write_manifest(tmp_path, doc)])
+    assert code == 2
+    line, = out.splitlines()
+    assert line.startswith(
+        "error: polynomial x1 is not invariant under group generator ")
+
+
 def test_cli_value_error_in_a_handler_propagates(monkeypatch):
     def broken(*args):
         raise ValueError("a bug, not an input error")
@@ -417,7 +478,6 @@ EXIT_CODES = {
     "UnitIdeal": 2,
     "NonHomogeneousInput": 2,
     "GroupCapExceeded": 3,
-    "NotGeneratedByFixedPointElements": None,
     "VarietyNotPreserved": 2,
     "NotInvariant": 2,
     "EquivalenceViolation": 1,

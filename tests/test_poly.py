@@ -78,11 +78,35 @@ def test_parse_handles_parentheses_and_signs():
 
 
 def test_parse_rejects_garbage():
-    for text in ["x +", "x^^2", "(x + y", "x ** 2", "", "x^y", "2x", "x + * y"]:
+    for text in ["x +", "x^^2", "(x + y", "x ** 2", "", "x^y", "2x", "x + * y",
+                 "x + \u00b2"]:
         with pytest.raises(PolynomialSyntaxError):
             R5.parse(text)
     with pytest.raises(UnknownVariable):
         R5.parse("x + w")
+
+
+def test_parse_takes_deep_nesting_without_a_recursion_error():
+    deep = 10_000
+    assert R5.parse("(" * deep + "x" + ")" * deep) == R5.var(0)
+    assert R5.parse("-(" * deep + "x" + ")^1" * deep) == R5.var(0)
+    with pytest.raises(PolynomialSyntaxError,
+                       match=r"^expected \), got None \(at position 20000\)$"):
+        R5.parse("(" * deep + "x" + ")" * (deep - 1))
+
+
+@pytest.mark.parametrize("length", [5000, 200_000])
+def test_parse_reads_a_coefficient_of_any_length_mod_p(length):
+    # past the interpreter's 4,300-digit limit for int(str)
+    p = 10007
+    ring = PolynomialRing(make_field(p), ("x",))
+    digits = "".join(str(i * 7 % 10) for i in range(length))
+    want = sum(int(d) * pow(10, i, p)
+               for i, d in enumerate(reversed(digits))) % p
+    assert ring.parse(digits + "*x") == ring.var(0).scale(want)
+    with pytest.raises(PolynomialSyntaxError,
+                       match=r"^exponent has more than 600 digits"):
+        ring.parse("x^" + digits)
 
 
 def test_module_level_parse_helper():

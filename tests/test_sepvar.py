@@ -50,9 +50,8 @@ def test_declared_invariants_are_checked():
     X = VarietyPresentation(ring)
     good = SepVarietyModel(X, G, [ring.parse("x1 + x2"), ring.parse("x1*x2")])
     assert len(good.invariant_difference_ideal().gens) == 2
-    bad = SepVarietyModel(X, G, [ring.parse("x1")])
     with pytest.raises(NotInvariant):
-        bad.invariant_difference_ideal()
+        SepVarietyModel(X, G, [ring.parse("x1")])
     with pytest.raises(ValueError):
         SepVarietyModel(X, G).invariant_difference_ideal()
 
@@ -61,11 +60,8 @@ def test_declared_invariants_are_checked():
 def test_a_model_rejects_invariants_from_a_foreign_ring(id10253):
     # x1 over F_3 used to reach the F_2 doubled ring as raw coefficients
     f3 = PolynomialRing(make_field(3), id10253.ring.variables)
-    model = SepVarietyModel(id10253.variety, id10253.group, [f3.parse("x1")])
-    for call in (model.invariant_difference_ideal,
-                 model.separating_variety_radical):
-        with pytest.raises(RingMismatch, match=r"^polynomial over F_3\["):
-            call()
+    with pytest.raises(RingMismatch, match=r"^polynomial over F_3\["):
+        SepVarietyModel(id10253.variety, id10253.group, [f3.parse("x1")])
     renamed = PolynomialRing(F2, ("a", "b", "c", "d"))
     with pytest.raises(RingMismatch, match=r"^polynomial over F_2\[a,"):
         id10253.model.difference_ideal([renamed.parse("a")])
