@@ -258,8 +258,8 @@ def _cmd_sepvar_connectivity(args, caps):
 def _ideal_makers(bm):
     """The model's named ideals, each by the call that makes it.
 
-    `differences`, `radical`, then the manifest's ideals by name (the
-    model's two names win over a manifest ideal of the same name);
+    `differences`, `radical`, then the manifest's ideals by name (a
+    manifest may not use the model's two names, `manifest.MODEL_IDEALS`);
     nothing is computed until its maker is called.
     """
     makers = {
@@ -267,7 +267,7 @@ def _ideal_makers(bm):
         "radical": bm.model.separating_variety_radical,
     }
     for name in sorted(bm.ideals):
-        makers.setdefault(name, functools.partial(bm.ideals.get, name))
+        makers[name] = functools.partial(bm.ideals.get, name)
     return makers
 
 

@@ -4,9 +4,11 @@ A group is enumerated breadth-first from its generators, so the element
 order is deterministic: identity first, then words of length 1 in
 generator order, then words of length 2, and so on.  The group acts on
 functions by f |-> f(sigma(x)); `require_invariant` is the one check that
-a polynomial is an invariant of the variety's ring.  Fixed loci are cut
-out by the linear equations sigma(x) - x on each component, and their
-codimension is measured against the dimension of the whole variety.
+a polynomial is an invariant of the variety's ring, and the group keeps
+what it has proved.  It acts on points through one compiled function per
+field, `FiniteGroup.images`.  Fixed loci are cut out by the linear
+equations sigma(x) - x on each component, and their codimension is
+measured against the dimension of the whole variety.
 `min_reflection_number` answers every question of the form "do the
 k-reflections generate the group?", and it is the package's one caller
 of `generated_by`.
@@ -29,7 +31,7 @@ from .errors import (
     VarietyNotPreserved,
 )
 from .groebner import Ideal
-from .poly import AffineMap, compose_affine, coordinate_images
+from .poly import AffineMap, compose_affine, coordinate_images, point_maps
 
 
 class FiniteGroup:
@@ -41,6 +43,8 @@ class FiniteGroup:
         self.generators = tuple(generators)
         self.elements = tuple(elements)
         self._members = frozenset(self.elements)
+        self._images = {}  # per field, the compiled `images` function
+        self._invariants = set()  # proved by `invariance_offender`
 
     @property
     def identity(self):
@@ -58,6 +62,16 @@ class FiniteGroup:
 
     def __contains__(self, sigma):
         return sigma in self._members
+
+    def images(self, field=None):
+        """A point's images under every element, in element order, as one
+        compiled function (`poly.point_maps`), made once per field and
+        kept on the group."""
+        field = field or self.field
+        fn = self._images.get(field)
+        if fn is None:
+            fn = self._images[field] = point_maps(self.elements, field)
+        return fn
 
     def __repr__(self):
         return f"FiniteGroup(order {self.order}, dimension {self.n})"
@@ -135,10 +149,17 @@ def _closure(ident, generators, cap=math.inf):
 
 
 def invariance_offender(f, group):
-    """The first group generator that moves f, or None."""
+    """The first group generator that moves f, or None.
+
+    A polynomial found invariant is kept on the group, so the model, the
+    symbolic check and the point check prove each invariant once.
+    """
+    if f in group._invariants:
+        return None
     for sigma in group.generators:
         if compose_affine(f, sigma) != f:
             return sigma
+    group._invariants.add(f)
     return None
 
 
@@ -350,9 +371,14 @@ def variety_points(variety, field=None):
     -h/c.  The first such generator of a component at level k is solved
     for x_k instead of tested, so a level where every live component is
     pinned tries only their pinned values, and a graph y = f(x) costs
-    one evaluation per point instead of q.  Points come out in
-    `itertools.product` order all the same, since the pinned values are
-    tried in ascending raw order, the order of the full scan.
+    one evaluation per point instead of q.  From the level on which every
+    live component pins every remaining variable, each component's
+    completion is solved outright, one evaluation per pin, and the
+    distinct ones that pass their tests are kept.  Points come out in
+    `itertools.product` order all the same, since the pinned values and
+    the completions are taken in ascending raw order, the order of the
+    full scan.  Pins and tests are compiled evaluators
+    (`Polynomial.evaluator`) of the scan field.
     """
     fld = field or variety.ring.field
     caps = variety.caps
@@ -366,8 +392,9 @@ def variety_points(variety, field=None):
     values = fld.enumerate_raw(caps.enum_cap)
     # pins[k][c]: component c's pin on x_k, a function of the prefix;
     # tests[k][c]: evaluators of c's other generators with last variable x_k
-    pins = [[None] * len(variety.components) for _ in range(n)]
-    tests = [[[] for _ in variety.components] for _ in range(n)]
+    count = len(variety.components)
+    pins = [[None] * count for _ in range(n)]
+    tests = [[[] for _ in range(count)] for _ in range(n)]
     for c, comp in enumerate(variety.components):
         for g in comp.gens:
             pairs = g.as_pairs()
@@ -384,9 +411,13 @@ def variety_points(variety, field=None):
     while tests and not any(tests[-1]) and not any(pins[-1]):
         tests.pop()
         pins.pop()
+    # tails[c]: the first level from which component c pins every level
+    tails = [len(pins)] * count
+    for c in range(count):
+        while tails[c] and pins[tails[c] - 1][c] is not None:
+            tails[c] -= 1
     prefixes = []
-    _complete(prefixes, [0] * n, 0, range(len(variety.components)), pins,
-              tests, values)
+    _complete(prefixes, [0] * n, 0, range(count), pins, tests, values, tails)
     return _PointView(prefixes, values, n - len(tests))
 
 
@@ -417,14 +448,14 @@ class _PointView:
 
 
 def _pin(g, k, coef, fld):
-    """x_k as a function of the prefix, for g = coef*x_k + h(x_1..x_{k-1})."""
-    h = g - g.ring.var(k).scale(coef)
-    value = h.evaluator(fld)
-    mul, scale = fld.mul, fld.neg(fld.inv(coef))
-    return lambda prefix: mul(scale, value(prefix))
+    """x_k as a function of the prefix, for g = coef*x_k + h(x_1..x_{k-1}):
+    the evaluator of -h/coef."""
+    ring = g.ring
+    h = g - ring.var(k).scale(coef)
+    return h.scale(ring.field.neg(ring.field.inv(coef))).evaluator(fld)
 
 
-def _complete(prefixes, prefix, k, live, pins, tests, values):
+def _complete(prefixes, prefix, k, live, pins, tests, values, tails):
     """Append to `prefixes` every complete prefix that extends prefix[:k].
 
     A prefix is complete at the level past the last variable any
@@ -432,16 +463,31 @@ def _complete(prefixes, prefix, k, live, pins, tests, values):
     it is kept as the tuple of its coordinates, not expanded.
 
     `live` lists the components that may still contain the prefix,
-    pins[j][c] component c's pin on x_j (or None), and tests[j][c] the
-    evaluators for its other generators whose last variable is x_j.  The
-    pins of the live components are solved once per prefix.  When all
-    are pinned, x_k runs over their distinct values in ascending raw
-    order, which keeps `itertools.product` order; otherwise over every
-    value.  A pinned component is alive at x only when x is its pin and
-    its tests vanish.
+    pins[j][c] component c's pin on x_j (or None), tests[j][c] the
+    evaluators for its other generators whose last variable is x_j, and
+    tails[c] the first level from which c pins every level.  Once every
+    live component's tail has begun, each one's completion is solved
+    level by level, and the distinct completions that pass their tests
+    are kept in ascending raw order.  Otherwise the pins of the live
+    components are solved once per prefix.  When all are pinned, x_k
+    runs over their distinct values in ascending raw order, which keeps
+    `itertools.product` order; otherwise over every value.  A pinned
+    component is alive at x only when x is its pin and its tests vanish.
     """
-    if k == len(tests):
+    end = len(tests)
+    if k == end:
         prefixes.append(tuple(prefix[:k]))
+        return
+    if all(tails[c] <= k for c in live):
+        done = set()
+        for c in live:
+            for j in range(k, end):
+                prefix[j] = pins[j][c](prefix)
+                if any(f(prefix) for f in tests[j][c]):
+                    break
+            else:
+                done.add(tuple(prefix[:end]))
+        prefixes += sorted(done)
         return
     level, pinned = tests[k], pins[k]
     solved = {c: pinned[c](prefix) for c in live if pinned[c] is not None}
@@ -454,14 +500,15 @@ def _complete(prefixes, prefix, k, live, pins, tests, values):
         alive = [c for c in live if solved.get(c, x) == x
                  and all(f(prefix) == 0 for f in level[c])]
         if alive:
-            _complete(prefixes, prefix, k + 1, alive, pins, tests, values)
+            _complete(prefixes, prefix, k + 1, alive, pins, tests, values,
+                      tails)
 
 
 def orbit(group, point, field=None):
     """The orbit of a point under the group, sorted for determinism."""
     if len(point) != group.n:
         raise DimensionMismatch("point length != group dimension")
-    return sorted({s.point_map(field)(point) for s in group})
+    return sorted(set(group.images(field)(point)))
 
 
 NOT_FIXED_POINT_GENERATED = (

@@ -26,8 +26,9 @@ The document layout:
 
 `components` defaults to a single zero ideal, meaning X is all of K^n.
 Ideal generators live in the doubled ring, whose second block of variables
-mirrors the first (`x3` pairs with `y3`).  A relation is a polynomial in
-the invariants, written with their names as variables; it holds when
+mirrors the first (`x3` pairs with `y3`); an ideal may have any name but
+`differences` and `radical`, the model's own.  A relation is a polynomial
+in the invariants, written with their names as variables; it holds when
 substituting the invariants gives zero.
 """
 
@@ -54,6 +55,11 @@ _TOP_KEYS = frozenset((
     "schema", "name", "field", "n", "variables", "generators",
     "components", "invariants", "candidates", "ideals", "relations",
 ))
+
+
+# The model's own named ideals (`cli._ideal_makers`): a manifest ideal of
+# either name would never be read, so the manifest may not declare one.
+MODEL_IDEALS = ("differences", "radical")
 
 
 def _fail(where, message):
@@ -245,6 +251,9 @@ class Manifest:
         for key, entries in _expect(doc.get("ideals", {}), dict,
                                     "ideals").items():
             where = f"ideals.{key}"
+            if key in MODEL_IDEALS:
+                _fail(where, f"{key!r} names the model's own ideal; "
+                             "choose another name")
             _expect(entries, list, where)
             if not entries:
                 _fail(where, "an ideal needs at least one generator")

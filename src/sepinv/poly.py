@@ -23,6 +23,11 @@ int comparison and a reducer can keep its terms in a heap.
 Polynomials are immutable: a tuple of (packed monomial, raw coefficient)
 pairs, strictly decreasing in the ring's monomial order, no zeros.  All
 arithmetic routes through dicts internally and re-canonicalizes on exit.
+
+Points are evaluated and mapped by compiled kernels: `_kernel`, the one
+place that compiles code, writes a polynomial, an affine map or a set of
+either as a straight-line function of the coordinates, from integer
+literals, coordinate indices and field table names alone.
 """
 
 from __future__ import annotations
@@ -252,9 +257,6 @@ class PolynomialRing:
     def var(self, i):
         return Polynomial(self, ((1 << (_W * i), 1),))
 
-    def var_named(self, name):
-        return self.var(self.variables.index(name))
-
     def parse(self, text):
         return parse(text, self)
 
@@ -386,7 +388,8 @@ class Polynomial:
 
         A larger field may be passed for evaluation at extension points,
         provided the coefficients live in the prime field: those embed
-        into any extension without re-encoding.
+        into any extension without re-encoding.  Each call compiles the
+        polynomial; `evaluator` compiles it once for many points.
         """
         if len(point) != self.ring.nvars:
             raise DimensionMismatch("point length != number of variables")
@@ -395,27 +398,13 @@ class Polynomial:
     def evaluator(self, field=None):
         """This polynomial as a function of a point, for repeated evaluation.
 
-        The monomials are unpacked once, here.  The returned function
-        reads only the coordinates of variables that occur and does not
-        check the point's length; `evaluate` is the checked entry point.
+        The function is compiled once, here, by `_kernel`: straight-line
+        field arithmetic on the coordinates of the variables that occur.
+        It does not check the point's length; `evaluate` is the checked
+        entry point.
         """
         fld = _embedding_field(self.ring.field, field)
-        mul, add, pow_ = fld.mul, fld.add, fld.pow
-        terms = tuple(
-            (c, tuple((i, e) for i, e in enumerate(self.ring.unpack(m)) if e))
-            for m, c in self.terms
-        )
-
-        def value(point):
-            total = 0
-            for c, factors in terms:
-                v = c
-                for i, e in factors:
-                    v = mul(v, point[i] if e == 1 else pow_(point[i], e))
-                total = add(total, v)
-            return total
-
-        return value
+        return _kernel(fld, [_sum_terms(self)], 0)
 
     def substitute(self, images):
         """Substitute variable i by the polynomial images[i]."""
@@ -543,7 +532,8 @@ class AffineMap:
         """The image of a point given as raw coefficients.
 
         As with `Polynomial.evaluate`, a larger field may be passed for
-        points over an extension of a prime base field.
+        points over an extension of a prime base field, and each call
+        compiles the map; `point_map` compiles it once for many points.
         """
         if len(pt) != self.n:
             raise DimensionMismatch("point length != map dimension")
@@ -552,34 +542,14 @@ class AffineMap:
     def point_map(self, field=None):
         """This map as a function of a point, for repeated application.
 
-        The nonzero matrix entries and the translation are unpacked once,
-        here, and an entry 1 adds its coordinate without a multiply.  The
-        returned function does not check the point's length; `apply_point`
-        is the checked entry point.
+        The function is compiled once, here, by `_kernel`: each image
+        coordinate is the translation plus the nonzero entries times
+        their coordinates, and an entry 1 adds its coordinate without a
+        multiply.  It does not check the point's length; `apply_point` is
+        the checked entry point.
         """
         fld = _embedding_field(self.field, field)
-        add, mul = fld.add, fld.mul
-        rows = tuple(
-            (b, tuple(j for j, a in enumerate(row) if a == 1),
-             tuple((j, a) for j, a in enumerate(row) if a > 1))
-            for row, b in zip(self.matrix, self.translation)
-        )
-
-        def image(pt):
-            out = []
-            for acc, ones, scaled in rows:
-                for j in ones:
-                    x = pt[j]
-                    if x:
-                        acc = add(acc, x)
-                for j, a in scaled:
-                    x = pt[j]
-                    if x:
-                        acc = add(acc, mul(a, x))
-                out.append(acc)
-            return tuple(out)
-
-        return image
+        return _kernel(fld, _map_sums(self), tuple(range(self.n)))
 
     def compose(self, other):
         """self after other: (self.compose(other))(x) = self(other(x))."""
@@ -677,6 +647,155 @@ def compose_affine(f, sigma):
 
 
 # ---------------------------------------------------------------------------
+# compiled point kernels
+# ---------------------------------------------------------------------------
+
+_CHUNK = 32  # operands per chained expression: compiling a chain recurses
+             # once per operand
+
+
+def evaluators(polys, field):
+    """The polynomials' values at a point of `field`^n, as one compiled
+    function returning their tuple: `Polynomial.evaluator` for a set."""
+    for f in polys:
+        _embedding_field(f.ring.field, field)
+    return _kernel(field, [_sum_terms(f) for f in polys],
+                   tuple(range(len(polys))))
+
+
+def point_maps(maps, field):
+    """A point's images under each map, as one compiled function returning
+    the tuple of them, in order: `AffineMap.point_map` for a set."""
+    sums, layout = [], []
+    for sigma in maps:
+        _embedding_field(sigma.field, field)
+        layout.append(tuple(range(len(sums), len(sums) + sigma.n)))
+        sums += _map_sums(sigma)
+    return _kernel(field, sums, tuple(layout))
+
+
+def _sum_terms(f):
+    """f's terms as (raw coefficient, ((i, e), ...)) over its variables."""
+    unpack = f.ring.unpack
+    return [(c, tuple((i, e) for i, e in enumerate(unpack(m)) if e))
+            for m, c in f.terms]
+
+
+def _map_sums(sigma):
+    """sigma's image coordinates as sums of terms: b_i + sum_j A_ij x_j."""
+    return [[(a, ((j, 1),)) for j, a in enumerate(row) if a]
+            + ([(b, ())] if b else [])
+            for row, b in zip(sigma.matrix, sigma.translation)]
+
+
+def _kernel(fld, sums, layout):
+    """One straight-line function of a point: the values of `sums` there.
+
+    A sum is a list of terms (raw coefficient, ((i, e), ...)), each the
+    coefficient times the product of the x_i^e.  `layout` shapes the
+    result: an index stands for that sum's value, a tuple for the tuple
+    of its members.  The source holds integer literals, coordinate
+    indices and the names of the field's tables, nothing else, and is
+    compiled once; the function reads only the coordinates that occur.
+    - Over F_p a power is reduced by x^p = x, and the terms are summed as
+      Python ints and reduced `% p` once per chunk.
+    - Over F_{p^e} a term is one `exp` lookup at the coefficient's log
+      plus e times each factor's log, guarded to 0 when a factor is 0;
+      characteristic 2 adds by `^`, odd p by `Field.add`.
+    No expression chains more than `_CHUNK` operands: a longer sum or
+    product goes through a local, so it compiles without deep recursion.
+    The namespace keeps no reference to the function, so no cycle holds
+    it once its caller drops it.
+    """
+    q = fld.order
+    ns = {"__builtins__": {}}
+    if fld.e == 1:
+        ns["pow"] = pow
+    else:
+        q1, log, exp, _ = fld._tables
+        ns["log"], ns["exp"] = log, exp
+        if fld.p > 2:
+            ns["add"] = fld.add
+    body = []
+    used, logged = set(), set()
+
+    def chained(parts, op, tail=""):
+        """parts joined by op, through a local past _CHUNK of them; a
+        longer chain has its `tail` applied after every chunk."""
+        if len(parts) <= _CHUNK:
+            return op.join(parts)
+        name = f"u{len(body)}"
+        body.append(f"{name} = ({op.join(parts[:_CHUNK])}){tail}")
+        for k in range(_CHUNK, len(parts), _CHUNK):
+            body.append(f"{name} = ({name}{op}{op.join(parts[k:k + _CHUNK])})"
+                        f"{tail}")
+        return name
+
+    def term(c, factors):
+        """An expression for one term, and whether it is reduced already."""
+        for i, _ in factors:
+            used.add(i)
+        if not factors:
+            return str(c), True
+        if c == 1 and len(factors) == 1 and (factors[0][1] - 1) % (q - 1) == 0:
+            return f"x{factors[0][0]}", True  # x^e = x
+        if fld.e == 1:
+            parts = [] if c == 1 else [str(c)]
+            for i, e in factors:
+                e = (e - 1) % (q - 1) + 1
+                parts.append(f"x{i}" if e == 1 else f"x{i}**{e}" if e < 4
+                             else f"pow(x{i}, {e}, {q})")
+            return chained(parts, "*", f" % {q}"), False
+        index = [str(log[c])] if c != 1 else []
+        top = log[c]
+        for i, e in factors:
+            e %= q1
+            if e:
+                logged.add(i)
+                index.append(f"l{i}" if e == 1 else f"{e}*l{i}")
+                top += e * (q1 - 1)
+        at = chained(index, " + ") if index else "0"
+        if top >= 2 * q1:  # past the doubled exp table
+            at = f"({at}) % {q1}"
+        guard = " and ".join(f"x{i}" for i, _ in factors)
+        return f"(exp[{at}] if {guard} else 0)", True
+
+    def value(terms):
+        """An expression for the sum of the terms."""
+        parts = [term(c, factors) for c, factors in terms]
+        if not parts:
+            return "0"
+        if len(parts) == 1 and parts[0][1]:
+            return parts[0][0]
+        exprs = [e for e, _ in parts]
+        if fld.e == 1:
+            return f"({chained(exprs, ' + ', f' % {q}')}) % {q}"
+        if fld.p == 2:
+            return chained(exprs, " ^ ")
+        acc = exprs[0]
+        for k, e in enumerate(exprs[1:], 1):
+            if k % _CHUNK == 0:
+                body.append(f"u{len(body)} = {acc}")
+                acc = f"u{len(body) - 1}"
+            acc = f"add({acc}, {e})"
+        return acc
+
+    def shape(node):
+        if isinstance(node, int):
+            return values[node]
+        return "(" + "".join(shape(x) + ", " for x in node) + ")"
+
+    values = [value(terms) for terms in sums]
+    lines = ["def kernel(pt):"]
+    lines += [f"    x{i} = pt[{i}]" for i in sorted(used)]
+    lines += [f"    l{i} = log[x{i}]" for i in sorted(logged)]
+    lines += ["    " + line for line in body]
+    lines.append("    return " + shape(layout))
+    exec(compile("\n".join(lines), "<sepinv kernel>", "exec"), ns)
+    return ns.pop("kernel")
+
+
+# ---------------------------------------------------------------------------
 # parsing and rendering
 # ---------------------------------------------------------------------------
 
@@ -734,10 +853,16 @@ def parse(text, ring):
     parenthesised sum, then any number of ^ exponents; signs bind looser
     than ^.  Open parentheses wait on a list, not on Python's stack, so
     nesting is bounded by memory alone.
+
+    A product of integers and variable powers is carried as one term,
+    (packed monomial, coefficient), and a sum as a dict of them; a
+    Polynomial is made only for a parenthesised sum and for the result.
     """
     tokens = _tokenize(text)
+    fld = ring.field
+    index = {name: i for i, name in enumerate(ring.variables)}
     outer = []  # per open parenthesis, the level it interrupts
-    total, op, prod = ring.zero(), "+", ring.one()
+    total, op, prod = {}, "+", (0, 1)
     pos = 0
     while True:
         negate = False
@@ -748,14 +873,14 @@ def parse(text, ring):
         pos += 1
         if kind == "(":
             outer.append((total, op, prod, negate))
-            total, op, prod = ring.zero(), "+", ring.one()
+            total, op, prod = {}, "+", (0, 1)
             continue
         if kind == "INT":
-            value = ring.constant(read_decimal(val, ring.field.from_int))
-        elif kind == "NAME" and val in ring.variables:
-            value = ring.var_named(val)
-        elif kind == "NAME" and ring.field.e > 1 and val == ring.field.gen_name:
-            value = ring.constant(ring.field.p)  # raw encoding of the generator
+            value = (0, read_decimal(val, fld.from_int))
+        elif kind == "NAME" and val in index:
+            value = (1 << (_W * index[val]), 1)
+        elif kind == "NAME" and fld.e > 1 and val == fld.gen_name:
+            value = (0, fld.p)  # raw encoding of the generator
         elif kind == "NAME":
             raise UnknownVariable(val, at)
         else:
@@ -770,26 +895,62 @@ def parse(text, ring):
                 if len(digits) > _DIGITS:
                     raise PolynomialSyntaxError(
                         f"exponent has more than {_DIGITS} digits", at)
-                value = value ** int(digits)
-            prod = prod * (-value if negate else value)
+                value = _power(value, int(digits), ring)
+            if negate:
+                value = (-value if isinstance(value, Polynomial)
+                         else (value[0], fld.neg(value[1])))
+            prod = _times(prod, value, ring)
             kind, val, at = tokens[pos]
             pos += 1
             if kind == "*":
                 break
-            total = total + prod if op == "+" else total - prod
-            prod = ring.one()
+            terms = prod.terms if isinstance(prod, Polynomial) else (prod,)
+            for m, c in terms:
+                v = fld.add(total.get(m, 0), c if op == "+" else fld.neg(c))
+                if v:
+                    total[m] = v
+                else:
+                    total.pop(m, None)
+            prod = (0, 1)
             if kind in ("+", "-"):
                 op = kind
                 break
             if kind == ")" and outer:  # the sum is a base of the level out
-                value = total
+                value = ring.from_dict(total)
                 total, op, prod, negate = outer.pop()
                 continue
             if outer:
                 raise PolynomialSyntaxError(f"expected ), got {val!r}", at)
             if kind != "END":
                 raise PolynomialSyntaxError(f"trailing input {val!r}", at)
-            return total
+            return ring.from_dict(total)
+
+
+def _power(value, k, ring):
+    """value^k for a term (m, c) or a Polynomial, with the exponent check
+    that `Polynomial.__pow__` makes multiplying: a nonzero term overflows
+    exactly when some exponent times k passes 127."""
+    if isinstance(value, Polynomial):
+        return value ** k
+    m, c = value
+    if not k:
+        return (0, 1)
+    if not c:
+        return (0, 0)
+    if m and max(ring.unpack(m)) * k > 127:
+        raise ResourceCapExceeded("monomial exponent exceeded packed range")
+    return (m * k, ring.field.pow(c, k))
+
+
+def _times(a, b, ring):
+    """a * b for terms (m, c) or Polynomials: a term while both are terms."""
+    if isinstance(a, Polynomial) or isinstance(b, Polynomial):
+        a, b = (x if isinstance(x, Polynomial)
+                else Polynomial(ring, (x,) if x[1] else ()) for x in (a, b))
+        return a * b
+    if not (a[1] and b[1]):
+        return (0, 0)
+    return (ring.mono_mul(a[0], b[0]), ring.field.mul(a[1], b[1]))
 
 
 def render(f):

@@ -4,10 +4,12 @@ A set S of invariants is separating when it tells apart everything the
 full invariant ring tells apart.  Symbolically that is an equality of
 radicals in the doubled ring: S's difference ideal, built by
 `SepVarietyModel.difference_ideal`, against the separating variety's
-radical.  Over a finite field it can also be probed by brute force,
-comparing S-value buckets with group orbits.  The point check is
-necessary evidence only: the symbolic claim lives over the algebraic
-closure.  Both routes first require S to be over the variety's ring and
+radical.  Equal radicals have equal dimension, so an ideal of another
+dimension is refuted before that radical is built; a set of fewer than
+dim X invariants always is.  Over a finite field S can also be probed by
+brute force, comparing S-value buckets with group orbits.  The point
+check is necessary evidence only: the symbolic claim lives over the
+algebraic closure.  Both routes first require S to be over the variety's ring and
 invariant, through `group.require_invariant`.
 
 The audit ties the package together: it checks the hypotheses under
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInconsistency, RingMismatch
+from .errors import InternalInconsistency, RingMismatch, UnitIdeal
 from .group import (
     NOT_FIXED_POINT_GENERATED,
     min_reflection_number,
@@ -30,6 +32,7 @@ from .group import (
     variety_connected_in_codim,
     variety_points,
 )
+from .poly import evaluators
 from .resolution import cohen_macaulay_defect, is_graded
 
 
@@ -53,11 +56,15 @@ class SeparatingCandidate:
 
 
 def verify_separating_symbolic(candidate, model):
-    """Is the candidate separating?  Decided by radical membership.
+    """Is the candidate separating?  Decided by radical equality.
 
-    The candidate's difference ideal (`SepVarietyModel.difference_ideal`,
+    The candidate's difference ideal D (`SepVarietyModel.difference_ideal`,
     with the variety's ambient relations on both coordinate copies) must
     have the same radical as the separating variety's vanishing ideal.
+    D lies in that ideal, so dim V(D) >= dim X, and each f(x) - f(y)
+    cuts X x X's dimension 2 dim X by at most one: a set of fewer than
+    dim X invariants is refuted by dimension alone (`_same_radical`),
+    without the separating variety.
     """
     return _same_radical(model.difference_ideal(candidate.polynomials), model)
 
@@ -65,8 +72,19 @@ def verify_separating_symbolic(candidate, model):
 def _same_radical(ideal, model):
     """Does the ideal cut out the separating variety?
 
-    Both containments of radicals are tested generator by generator.
+    Equal radicals have equal dimension, so an ideal whose dimension is
+    not dim X, the separating variety's, differs at once; so does the
+    unit ideal, which cuts out nothing.  The dimension is read off the
+    ideal's reduced grevlex basis, the one its radical membership tests
+    need anyway, and so comes before the separating variety's radical,
+    a fold of one graph per group element and component.  Otherwise both
+    containments of radicals are tested generator by generator.
     """
+    try:
+        if ideal.dimension() != model.variety.dimension():
+            return False
+    except UnitIdeal:
+        return False
     radical = model.separating_variety_radical()
     for g in ideal.gens:
         if not radical.radical_contains(g):
@@ -90,22 +108,26 @@ def verify_separating_points(candidate, group, variety, field=None):
     no point past the one that fails it.  Orbits partition the whole
     space, so this is the same verdict even when the variety's point set
     is not closed under the group.
+
+    A point's images under the whole group come from one compiled
+    function, `FiniteGroup.images`, kept on the group for the next
+    candidate, and its value tuple from another, `poly.evaluators`.
     """
     require_invariant(candidate.polynomials, group, variety.ring)
     fld = field or variety.ring.field
     points = variety_points(variety, fld)
-    maps = [s.point_map(fld) for s in group]
-    evaluators = [g.evaluator(fld) for g in candidate.polynomials]
+    images = group.images(fld)
+    values = evaluators(candidate.polynomials, fld)
     seen = set()
     classes = set()
     for pt in points:
         if pt in seen:
             continue
-        seen.update(image(pt) for image in maps)
-        values = tuple(f(pt) for f in evaluators)
-        if values in classes:
+        seen.update(images(pt))
+        key = values(pt)
+        if key in classes:
             return False
-        classes.add(values)
+        classes.add(key)
     return True
 
 

@@ -283,10 +283,10 @@ class SepVarietyModel:
         evidence for cross-checks, never the definition.
         """
         fld = field or self.base_ring.field
-        maps = [s.point_map(fld) for s in self.group]
+        images = self.group.images(fld)
         pairs = set()
         for pt in variety_points(self.variety, fld):
-            pairs.update((pt, image(pt)) for image in maps)
+            pairs.update((pt, image) for image in images(pt))
         return sorted(pairs)
 
 

@@ -270,6 +270,14 @@ def test_each_reflection_and_model_fact_has_one_home():
         ("resolution", "FreeResolution.depth")]
 
 
+def test_only_the_kernel_maker_compiles_code():
+    # generated source is made in one place, from integer literals,
+    # coordinate indices and table names (tests/test_poly.py checks that)
+    assert _all_sites(lambda n: _is_call(n, "exec")
+                      or _is_call(n, "compile")
+                      or _is_call(n, "eval")) == [("poly", "_kernel")]
+
+
 # Each module imports only from modules of a lower layer; sepvar and
 # separating share a layer and so do not import each other.
 _LAYERS = ["errors", "config", "field poly", "groebner", "group resolution",

@@ -1,5 +1,6 @@
 """Tests for group enumeration, fixed loci, and variety presentations."""
 
+import functools
 import math
 import random
 
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from sepinv import (
     AffineMap,
+    bundled,
     Caps,
     Ideal,
     PolynomialRing,
@@ -28,10 +30,23 @@ from sepinv.errors import (
     RingMismatch,
     VarietyNotPreserved,
 )
-from sepinv.group import _closure, generated_by, variety_pairwise_codim
+from sepinv import group as group_module
+from sepinv.group import (
+    _closure,
+    generated_by,
+    is_invariant,
+    require_invariant,
+    variety_pairwise_codim,
+)
 from sepinv.poly import Polynomial
 
-from .oracles import naive_from, naive_variety_points, rank
+from .oracles import (
+    _value,
+    naive_field_ops,
+    naive_from,
+    naive_variety_points,
+    rank,
+)
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -344,6 +359,57 @@ def test_variety_points_solves_for_pinned_coordinates(two_planes, monkeypatch):
     assert list(points) == naive_variety_points(tables, 4, F25)
 
 
+SCAN_FIELDS = {
+    2: [F2, make_field(2, 2, [1, 1, 1]), make_field(2, 3, [1, 1, 0, 1]),
+        make_field(2, 4, [1, 1, 0, 0, 1])],
+    3: [F3, make_field(3, 2, [1, 0, 1])],
+    5: [F5, make_field(5, 2, [2, 0, 1])],
+}
+
+
+def full_scan(variety, field):
+    """The points in `itertools.product` order by the scan without pins:
+    x_k runs over every value, and a component stays alive while its
+    generators whose last variable is x_k vanish."""
+    add, mul = map(functools.cache, naive_field_ops(field))
+    n, q = variety.n, field.order
+    levels = [[[] for _ in variety.components] for _ in range(n)]
+    for c, comp in enumerate(variety.components):
+        for g in comp.gens:
+            table = naive_from(g)
+            last = max(i for exps in table for i, e in enumerate(exps) if e)
+            levels[last][c].append(table)
+    out = []
+
+    def scan(prefix, live):
+        k = len(prefix)
+        if k == n:
+            out.append(tuple(prefix))
+            return
+        for x in range(q):
+            point = prefix + [x] + [0] * (n - k - 1)
+            alive = [c for c in live
+                     if all(_value(t, point, add, mul) == 0
+                            for t in levels[k][c])]
+            if alive:
+                scan(prefix + [x], alive)
+
+    scan([], range(len(variety.components)))
+    return out
+
+
+@pytest.mark.parametrize("name", bundled.names())
+def test_variety_points_keep_the_full_scan_order_on_bundled_models(name):
+    # solving pinned tails outright must give the full scan's points in
+    # its order, over every field of order up to 25 the scan may use
+    variety = bundled.load(name).variety
+    for field in SCAN_FIELDS[variety.ring.field.p]:
+        view = variety_points(variety, field)
+        points = list(view)
+        assert points == full_scan(variety, field), (name, field)
+        assert len(view) == len(points)
+
+
 def test_variety_points_checks_caps_then_the_scan_field():
     F4 = make_field(2, 2, [1, 1, 1])
     F16 = make_field(2, 4, [1, 1, 0, 0, 1])
@@ -448,3 +514,30 @@ def test_disjoint_components_never_connect():
     assert variety_pairwise_codim(parallel, 0, 1) == math.inf
     for k in range(3):
         assert not variety_connected_in_codim(parallel, k)
+
+
+def test_an_invariant_is_proved_once_per_group(monkeypatch):
+    # the model, the symbolic check and the point check each require the
+    # candidates' invariance; the group keeps what it has proved
+    bm = bundled.load("id10253")
+    inv = bm.invariants
+    f = inv["f1"] * inv["f2"] + inv["h"]  # not proved by the model yet
+    moved = bm.ring.parse("x2")
+    composed = []
+    compose = group_module.compose_affine
+
+    def counting(poly, sigma):
+        composed.append(poly)
+        return compose(poly, sigma)
+
+    monkeypatch.setattr(group_module, "compose_affine", counting)
+    for _ in range(3):
+        require_invariant([f], bm.group, bm.ring)
+        assert is_invariant(f, bm.group)
+    assert composed == [f] * len(bm.group.generators)
+    assert not is_invariant(moved, bm.group)
+    once = composed.count(moved)
+    assert not is_invariant(moved, bm.group)  # a moved one is not kept
+    assert composed.count(moved) == 2 * once
+    assert is_invariant(f, bundled.load("id10253").group)  # a new group
+    assert composed.count(f) == 2 * len(bm.group.generators)

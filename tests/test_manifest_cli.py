@@ -656,3 +656,28 @@ def test_console_script_entry_point():
         proc = subprocess.run(command, capture_output=True, text=True)
         assert proc.returncode == 0, (command, proc.stderr)
         assert "equivalence holds: true" in proc.stdout, command
+
+
+@pytest.mark.parametrize("name", ["differences", "radical"])
+def test_manifest_refuses_the_model_ideal_names(name, tmp_path):
+    # cmdef and reproduce read the model's ideal of either name, so a
+    # manifest ideal called so would never be used: refuse it
+    doc = valid_doc()
+    doc["ideals"] = {name: ["x1 - y1"], "J": ["x1 - y1", "x2 - y2"]}
+    with pytest.raises(ManifestError,
+                       match=rf"^ideals\.{name}: '{name}' names the model's "
+                             "own ideal; choose another name$"):
+        Manifest.from_dict(doc)
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["cmdef", "-m", str(path), "--ideal", name],
+                 ["audit", "-m", str(path)]):
+        proc = subprocess.run([sys.executable, "-m", "sepinv", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"error: ideals.{name}: '{name}' names the model's own "
+            "ideal; choose another name"]
+    del doc["ideals"][name]
+    assert set(Manifest.from_dict(doc).build().ideals) == {"J"}

@@ -1,12 +1,25 @@
-"""Tests for polynomial arithmetic, parsing, and affine maps."""
+"""Tests for polynomial arithmetic, parsing, affine maps and point kernels."""
 
+import functools
+import gc
+import io
 import itertools
 import random
+import re
+import tokenize
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sepinv import AffineMap, PolynomialRing, make_field, parse
+from sepinv import (
+    AffineMap,
+    PolynomialRing,
+    enumerate_group,
+    make_field,
+    parse,
+)
+from sepinv import poly
 from sepinv.errors import (
     DimensionMismatch,
     PolynomialSyntaxError,
@@ -20,7 +33,9 @@ from sepinv.poly import (
     Block,
     compose_affine,
     coordinate_images,
+    evaluators,
     is_homogeneous,
+    point_maps,
 )
 
 from .oracles import (
@@ -29,6 +44,7 @@ from .oracles import (
     lex_key,
     naive_add,
     naive_apply,
+    naive_field_ops,
     naive_from,
     naive_mul,
     naive_pow,
@@ -500,3 +516,195 @@ def test_binomial_identity_f5(a, b, c):
     )
     assert expanded == manual
     assert f.evaluate((c, 1, 0)) == (a * c + b) % 5
+
+
+# -- compiled point kernels --------------------------------------------------
+
+F7 = make_field(7)
+F8 = make_field(2, 3, [1, 1, 0, 1])
+F4096 = make_field(2, 12, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1])
+KERNEL_FIELDS = [F2, F7, F4, F8, F9, F25, F4096]
+KERNEL_IDS = ["F2", "F7", "F4", "F8", "F9", "F25", "F4096"]
+NAIVE_OPS = {}
+
+
+def naive_poly_value(f, pt, field):
+    """f at a raw point of `field`, term by term in the oracle's arithmetic,
+    memoised per field, with powers by squaring: the digit-by-digit
+    products are slow."""
+    add, mul = NAIVE_OPS.get(field) or NAIVE_OPS.setdefault(
+        field, tuple(map(functools.cache, naive_field_ops(field))))
+    total = 0
+    for exps, c in f.as_pairs():
+        v = c
+        for x, e in zip(pt, exps):
+            while e:
+                if e & 1:
+                    v = mul(v, x)
+                x = mul(x, x)
+                e >>= 1
+        total = add(total, v)
+    return total
+
+
+def kernel_point(rng, field, n):
+    # zero and one often: the kernels treat both apart from the rest
+    return tuple(rng.choice([0, 0, 1, rng.randrange(field.order)])
+                 for _ in range(n))
+
+
+def kernel_poly(rng, ring, q):
+    """Up to 8 terms, constants among them; exponents from 0 to q + 1 and
+    2q - 1, so x^(q-1), x^q and past it occur, below the packed cap."""
+    choices = [0, 0, 1, 2, 3, q - 2, q - 1, q, q + 1, 2 * q - 1]
+    table = {}
+    for _ in range(rng.randrange(9)):
+        exps = [min(rng.choice(choices), 127) if rng.random() < 0.6 else 0
+                for _ in ring.variables]
+        table[ring.pack(exps)] = rng.randrange(
+            1, ring.field.order)
+    return ring.from_dict(table)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_compiled_evaluators_agree_with_field_arithmetic(field):
+    # over the field itself and, for an extension, over its prime field
+    rng = random.Random(field.order)
+    rings = [PolynomialRing(field, ("x", "y", "z"))]
+    if field.e > 1:
+        rings.append(PolynomialRing(make_field(field.p), ("x", "y", "z")))
+    for ring in rings:
+        for _ in range(30):
+            polys = [kernel_poly(rng, ring, field.order) for _ in range(3)]
+            one = polys[0].evaluator(field)
+            together = evaluators(polys, field)
+            for _ in range(12):
+                pt = kernel_point(rng, field, 3)
+                want = tuple(naive_poly_value(f, pt, field) for f in polys)
+                assert one(pt) == want[0]
+                assert together(pt) == want
+    assert evaluators([], field)((1, 2)) == ()
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
+def test_compiled_point_maps_and_group_images_agree_with_the_oracle(field):
+    rng = random.Random(field.order + 1)
+    prime = make_field(field.p)
+    maps = []
+    while len(maps) < 6:
+        fld = rng.choice([prime, field])
+        n = 3
+        entry = lambda: rng.choice([0, 1, rng.randrange(fld.order)])
+        try:
+            maps.append(AffineMap(
+                fld, [[entry() for _ in range(n)] for _ in range(n)],
+                [entry() for _ in range(n)]))
+        except ValueError:
+            continue
+    together = point_maps(maps, field)
+    for _ in range(40):
+        pt = kernel_point(rng, field, 3)
+        want = tuple(naive_apply(s.matrix, s.translation, pt, field)
+                     for s in maps)
+        assert together(pt) == want
+        assert maps[0].point_map(field)(pt) == want[0]
+    # the swap and a translation by (1, t): a group of order 2 p^2 at most
+    t = field.p if field.e > 1 else 2 % field.p
+    group = enumerate_group([AffineMap(field, [[0, 1], [1, 0]]),
+                             AffineMap(field, [[1, 0], [0, 1]], [1, t])])
+    images = group.images(field)
+    assert group.images(field) is images  # kept on the group
+    for _ in range(40):
+        pt = kernel_point(rng, field, 2)
+        assert images(pt) == tuple(
+            naive_apply(s.matrix, s.translation, pt, field) for s in group)
+
+
+@pytest.mark.parametrize("field", [F7, F8, F25], ids=["F7", "F8", "F25"])
+def test_kernels_take_large_inputs(field):
+    # chunked statements, not one nested expression: no RecursionError or
+    # SyntaxError from the compiler on a long sum or a long product
+    rng = random.Random(5000)
+    ring = PolynomialRing(field, ("x", "y", "z"))
+    monomials = list(itertools.product(range(21), repeat=3))
+    rng.shuffle(monomials)
+    table = {ring.pack(e): rng.randrange(1, field.order)
+             for e in monomials[:5000]}
+    table[ring.pack((120, 0, 0))] = 1
+    long = ring.from_dict(table)
+    assert len(long.terms) == 5001
+    pt = (rng.randrange(1, field.order), 0, rng.randrange(field.order))
+    for point in (pt, (pt[0], pt[2], 1)):
+        assert long.evaluator()(point) == naive_poly_value(long, point, field)
+    wide = PolynomialRing(field, tuple(f"v{i}" for i in range(200)))
+    product = wide.parse("*".join(f"v{i}^{i % 5 + 1}" for i in range(200))
+                         + " + 1")
+    point = kernel_point(rng, field, 200)
+    nonzero = tuple(x or 1 for x in point)
+    for p in (point, nonzero):
+        assert product.evaluator()(p) == naive_poly_value(product, p, field)
+    matrix = [[int(i == j or i == 0) for j in range(200)] for i in range(200)]
+    sigma = AffineMap(field, matrix, [1] * 200)
+    assert sigma.point_map()(nonzero) == naive_apply(
+        sigma.matrix, sigma.translation, nonzero, field)
+
+
+def test_kernels_form_no_reference_cycle():
+    # the namespace a kernel is compiled in must not hold the kernel, or
+    # each one would wait for a full collection to be freed
+    ring = PolynomialRing(F8, ("x", "y"))
+    sigma = AffineMap(F25, [[0, 1], [1, 0]], [1, 0])
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for make in (lambda: ring.parse("x^3*y + y + 1").evaluator(),
+                     lambda: evaluators([ring.parse("x"), ring.zero()], F8),
+                     lambda: sigma.point_map(),
+                     lambda: point_maps([sigma, sigma], F25),
+                     lambda: R5.parse("x^7 + 2*y").evaluator()):
+            kernel = make()
+            ref = weakref.ref(kernel)
+            del kernel
+            assert ref() is None
+    finally:
+        if was:
+            gc.enable()
+
+
+def test_kernel_source_holds_only_literals_indices_and_table_names(
+        monkeypatch):
+    # variable names, whatever the manifest calls them, never reach the
+    # generated source: only ints, coordinate indices and table names do
+    sources = []
+    real = compile
+
+    def spy(source, *args):
+        sources.append(source)
+        return real(source, *args)
+
+    monkeypatch.setattr(poly, "compile", spy, raising=False)
+    names = ("exp", "__import__", "pt", "kernel")
+    for field in (F7, F8, F9):
+        ring = PolynomialRing(field, names)
+        f = ring.parse("exp^3*__import__ + 2*pt*kernel^9 + exp + 1")
+        f.evaluator()
+        evaluators([f, ring.var(3)], field)
+        point_maps([AffineMap(field, [[int(i == j) for j in range(4)]
+                                      for i in range(4)], [0, 1, 2, 0])],
+                   field)
+    assert len(sources) == 9
+    allowed = {"def", "kernel", "pt", "return", "if", "else", "and", "exp",
+               "log", "add", "pow"}
+    for source in sources:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.NAME:
+                assert (tok.string in allowed
+                        or re.fullmatch(r"[xlu]\d+", tok.string)), tok
+            elif tok.type == tokenize.NUMBER:
+                assert tok.string.isdecimal(), tok
+            elif tok.type == tokenize.OP:
+                assert tok.string in set("()[],:=+*%^") | {"**"}, tok
+            else:
+                assert tok.type in (tokenize.NEWLINE, tokenize.NL,
+                                    tokenize.INDENT, tokenize.DEDENT,
+                                    tokenize.ENDMARKER), tok

@@ -20,7 +20,7 @@ from sepinv import (
     verify_separating_points,
     verify_separating_symbolic,
 )
-from sepinv import separating
+from sepinv import bundled, cli, separating
 from sepinv.errors import (
     EnumerationCapExceeded,
     GroupCapExceeded,
@@ -29,7 +29,7 @@ from sepinv.errors import (
     RingMismatch,
 )
 from sepinv.group import orbit, variety_points
-from sepinv.poly import Polynomial, compose_affine
+from sepinv.poly import compose_affine
 
 from .oracles import naive_from, naive_point_check, naive_variety_points
 
@@ -155,28 +155,28 @@ def test_point_check_agrees_with_bucket_then_orbit_oracle(
 
 def test_point_check_evaluates_once_per_orbit(id10253, monkeypatch):
     # 736 orbits on the 4,096 points of F_8^4: the four invariants are
-    # evaluated at one point of each, 2,944 calls where every point took
-    # 16,384
+    # evaluated together, by one compiled function, at one point of each,
+    # 736 calls where every point took 4,096
     F8 = make_field(2, 3, [1, 1, 0, 1])
     points = variety_points(id10253.variety, F8)
     orbits = {tuple(orbit(id10253.group, pt, F8)) for pt in points}
     assert len(orbits) == 736
-    calls = [0]
-    evaluator = Polynomial.evaluator
+    calls = []
+    evaluators = separating.evaluators
 
-    def counting(self, field=None):
-        value = evaluator(self, field)
+    def counting(polys, field):
+        values = evaluators(polys, field)
 
         def counted(point):
-            calls[0] += 1
-            return value(point)
+            calls.append(len(polys))
+            return values(point)
 
         return counted
 
-    monkeypatch.setattr(Polynomial, "evaluator", counting)
+    monkeypatch.setattr(separating, "evaluators", counting)
     main = id10253.candidates["main"]
     assert verify_separating_points(main, id10253.group, id10253.variety, F8)
-    assert calls[0] == len(main) * len(orbits)
+    assert calls == [len(main)] * len(orbits)
 
 
 def test_a_failing_point_check_reads_only_the_points_it_needs(
@@ -438,3 +438,110 @@ def test_audit_notes_spell_out_the_standing_assumptions(id10253):
     report = reflection_audit(id10253.model)
     assert any("asserted by the caller" in note for note in report.notes)
     assert any("generate the invariant ring" in note for note in report.notes)
+
+
+# -- radical equality, dimension first ---------------------------------------
+
+
+@pytest.fixture(scope="module", params=bundled.names())
+def bundled_model(request):
+    return bundled.load(request.param)
+
+
+def _directly_same_radical(ideal, model):
+    """Both containments of radicals, generator by generator."""
+    radical = model.separating_variety_radical()
+    return (ideal.radical_subset_of(radical)
+            and radical.radical_subset_of(ideal))
+
+
+def _degree(f):
+    return max((f.ring.mono_degree(m) for m, _ in f.terms), default=0)
+
+
+@st.composite
+def invariant_sets(draw, bm):
+    """A random subset of the manifest's invariants, each kept, or added
+    to another, or multiplied by another of low enough degree, or moved
+    by a constant: all invariants again."""
+    pool = list(bm.invariants.values())
+    chosen = draw(st.lists(st.sampled_from(pool), min_size=1,
+                           max_size=len(pool)))
+    out = []
+    for f in chosen:
+        g = draw(st.sampled_from(pool))
+        how = draw(st.sampled_from(["keep", "sum", "product", "shift"]))
+        if how == "sum":
+            f = f + g
+        elif how == "product" and _degree(f) + _degree(g) <= 4:
+            f = f * g
+        elif how == "shift":
+            f = f + f.ring.one()
+        out.append(f)
+    return out
+
+
+def spy_on_the_fold(monkeypatch):
+    """Record every model whose separating variety radical is asked for."""
+    folds = []
+    real = SepVarietyModel.separating_variety_radical
+
+    def spy(self):
+        folds.append(self)
+        return real(self)
+
+    monkeypatch.setattr(SepVarietyModel, "separating_variety_radical", spy)
+    return folds
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_symbolic_verdict_is_both_radical_containments(bundled_model, data):
+    bm = bundled_model
+    polys = data.draw(invariant_sets(bm))
+    candidate = SeparatingCandidate("drawn", polys)
+    want = _directly_same_radical(bm.model.difference_ideal(polys), bm.model)
+    assert verify_separating_symbolic(candidate, bm.model) is want
+
+
+def test_ideals_of_another_dimension_differ_without_the_fold(
+        bundled_model, monkeypatch):
+    # I(S) plus a linear form has a smaller dimension than I(S), the
+    # difference ideal of no invariants, X x X's, a larger one, and the
+    # unit ideal none: each differs from I(S) at once, and the fresh
+    # model's separating variety is never folded
+    model = bundled_model.model
+    radical = model.separating_variety_radical()
+    ring = model.doubled_ring
+    smaller = radical + Ideal(ring, [ring.var(0)])
+    larger = model.difference_ideal([])
+    dim = model.variety.dimension()
+    assert smaller.dimension() < dim < larger.dimension()
+    assert not _directly_same_radical(smaller, model)
+    assert not _directly_same_radical(larger, model)
+    fresh = bundled.load(bundled_model.name)
+    graph = fresh.model.graph_components()[0].ideal
+    single = len(model.graph_components()) == 1
+    assert _directly_same_radical(graph, model) is single
+    folds = spy_on_the_fold(monkeypatch)
+    ideals = [("smaller", smaller), ("larger", larger),
+              ("unit", Ideal(ring, [ring.one()]))]
+    report = reflection_audit(fresh.model, ideals=ideals)
+    assert report.ideals == tuple((name, False, None) for name, _ in ideals)
+    assert folds == []
+    # an ideal of the right dimension is still decided by the fold
+    report = reflection_audit(fresh.model, ideals=[("graph", graph)])
+    assert report.ideals[0][1] is single
+    assert folds == [fresh.model]
+
+
+def test_verify_refutes_f1_only_without_the_separating_variety(
+        monkeypatch, capsys):
+    folds = spy_on_the_fold(monkeypatch)
+    for extra in ([], ["--points", "16"]):
+        assert cli.main(["verify", "-m", "id10253", "--set", "f1-only",
+                         *extra]) == 1
+        assert "symbolic verification: false" in capsys.readouterr().out
+    assert folds == []
+    assert cli.main(["verify", "-m", "id10253", "--set", "main"]) == 0
+    assert len(folds) == 1
