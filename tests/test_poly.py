@@ -56,6 +56,11 @@ F5 = make_field(5)
 F4 = make_field(2, 2, [1, 1, 1])
 F9 = make_field(3, 2, [1, 0, 1])
 F25 = make_field(5, 2, [2, 0, 1])
+F7 = make_field(7)
+F8 = make_field(2, 3, [1, 1, 0, 1])
+F4096 = make_field(2, 12, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1])
+KERNEL_FIELDS = [F2, F7, F4, F8, F9, F25, F4096]
+KERNEL_IDS = ["F2", "F7", "F4", "F8", "F9", "F25", "F4096"]
 
 R5 = PolynomialRing(F5, ("x", "y", "z"))
 R2 = PolynomialRing(F2, ("x1", "x2", "x3", "x4"))
@@ -461,12 +466,14 @@ def test_apply_point_checks_the_point_length(id10253):
             sigma.apply_point(pt)
 
 
-@pytest.mark.parametrize("field", [F4, F25], ids=["F4", "F25"])
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
 def test_point_map_matches_apply_point_and_the_oracle(field):
     # maps over the prime field applied to extension points, and maps over
     # the extension itself; entries 0 and 1 are drawn often, since the
-    # point map treats both apart from the rest
+    # point kernels treat both apart from the rest.  `point_maps` takes
+    # them all at once, and a group keeps all its images in one kernel.
     rng = random.Random(field.order)
+    maps = []
     for fld in (make_field(field.p), field):
         for _ in range(8):
             n = rng.randint(1, 3)
@@ -485,6 +492,25 @@ def test_point_map_matches_apply_point_and_the_oracle(field):
                            for _ in range(n))
                 want = naive_apply(sigma.matrix, sigma.translation, pt, field)
                 assert image(pt) == sigma.apply_point(pt, field) == want
+            maps.append(sigma)
+    square = [sigma for sigma in maps if sigma.n == maps[0].n]
+    together = point_maps(square, field)
+    for _ in range(20):
+        pt = tuple(rng.choice([0, 1, rng.randrange(field.order)])
+                   for _ in range(maps[0].n))
+        assert together(pt) == tuple(
+            naive_apply(s.matrix, s.translation, pt, field) for s in square)
+    # the swap and a translation by (1, t): a group of order 2 p^2 at most
+    t = field.p if field.e > 1 else 2 % field.p
+    group = enumerate_group([AffineMap(field, [[0, 1], [1, 0]]),
+                             AffineMap(field, [[1, 0], [0, 1]], [1, t])])
+    images = group.images(field)
+    assert group.images(field) is images  # kept on the group
+    for _ in range(40):
+        pt = tuple(rng.choice([0, 1, rng.randrange(field.order)])
+                   for _ in range(2))
+        assert images(pt) == tuple(
+            naive_apply(s.matrix, s.translation, pt, field) for s in group)
 
 
 def test_pullback_agrees_with_point_evaluation():
@@ -520,11 +546,6 @@ def test_binomial_identity_f5(a, b, c):
 
 # -- compiled point kernels --------------------------------------------------
 
-F7 = make_field(7)
-F8 = make_field(2, 3, [1, 1, 0, 1])
-F4096 = make_field(2, 12, [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1])
-KERNEL_FIELDS = [F2, F7, F4, F8, F9, F25, F4096]
-KERNEL_IDS = ["F2", "F7", "F4", "F8", "F9", "F25", "F4096"]
 NAIVE_OPS = {}
 
 
@@ -584,40 +605,6 @@ def test_compiled_evaluators_agree_with_field_arithmetic(field):
                 assert one(pt) == want[0]
                 assert together(pt) == want
     assert evaluators([], field)((1, 2)) == ()
-
-
-@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=KERNEL_IDS)
-def test_compiled_point_maps_and_group_images_agree_with_the_oracle(field):
-    rng = random.Random(field.order + 1)
-    prime = make_field(field.p)
-    maps = []
-    while len(maps) < 6:
-        fld = rng.choice([prime, field])
-        n = 3
-        entry = lambda: rng.choice([0, 1, rng.randrange(fld.order)])
-        try:
-            maps.append(AffineMap(
-                fld, [[entry() for _ in range(n)] for _ in range(n)],
-                [entry() for _ in range(n)]))
-        except ValueError:
-            continue
-    together = point_maps(maps, field)
-    for _ in range(40):
-        pt = kernel_point(rng, field, 3)
-        want = tuple(naive_apply(s.matrix, s.translation, pt, field)
-                     for s in maps)
-        assert together(pt) == want
-        assert maps[0].point_map(field)(pt) == want[0]
-    # the swap and a translation by (1, t): a group of order 2 p^2 at most
-    t = field.p if field.e > 1 else 2 % field.p
-    group = enumerate_group([AffineMap(field, [[0, 1], [1, 0]]),
-                             AffineMap(field, [[1, 0], [0, 1]], [1, t])])
-    images = group.images(field)
-    assert group.images(field) is images  # kept on the group
-    for _ in range(40):
-        pt = kernel_point(rng, field, 2)
-        assert images(pt) == tuple(
-            naive_apply(s.matrix, s.translation, pt, field) for s in group)
 
 
 @pytest.mark.parametrize("field", [F7, F8, F25], ids=["F7", "F8", "F25"])
