@@ -63,11 +63,10 @@ class FiniteGroup:
     def __contains__(self, sigma):
         return sigma in self._members
 
-    def images(self, field=None):
+    def images(self, field):
         """A point's images under every element, in element order, as one
         compiled function (`poly.point_maps`), made once per field and
         kept on the group."""
-        field = field or self.field
         fn = self._images.get(field)
         if fn is None:
             fn = self._images[field] = point_maps(self.elements, field)
@@ -508,7 +507,7 @@ def orbit(group, point, field=None):
     """The orbit of a point under the group, sorted for determinism."""
     if len(point) != group.n:
         raise DimensionMismatch("point length != group dimension")
-    return sorted(set(group.images(field)(point)))
+    return sorted(set(group.images(field or group.field)(point)))
 
 
 NOT_FIXED_POINT_GENERATED = (

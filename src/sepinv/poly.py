@@ -719,7 +719,7 @@ def _kernel(fld, sums, layout):
     body = []
     used, logged = set(), set()
 
-    def chained(parts, op, tail=""):
+    def chained(parts, op, tail):
         """parts joined by op, through a local past _CHUNK of them; a
         longer chain has its `tail` applied after every chunk."""
         if len(parts) <= _CHUNK:
@@ -754,7 +754,7 @@ def _kernel(fld, sums, layout):
                 logged.add(i)
                 index.append(f"l{i}" if e == 1 else f"{e}*l{i}")
                 top += e * (q1 - 1)
-        at = chained(index, " + ") if index else "0"
+        at = chained(index, " + ", "") if index else "0"
         if top >= 2 * q1:  # past the doubled exp table
             at = f"({at}) % {q1}"
         guard = " and ".join(f"x{i}" for i, _ in factors)
@@ -771,7 +771,7 @@ def _kernel(fld, sums, layout):
         if fld.e == 1:
             return f"({chained(exprs, ' + ', f' % {q}')}) % {q}"
         if fld.p == 2:
-            return chained(exprs, " ^ ")
+            return chained(exprs, " ^ ", "")
         acc = exprs[0]
         for k, e in enumerate(exprs[1:], 1):
             if k % _CHUNK == 0:
