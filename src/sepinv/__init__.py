@@ -8,7 +8,7 @@ Cohen-Macaulay defects through minimal graded free resolutions.
 
 from .config import Caps
 from .errors import SepinvError
-from .field import FieldElement, make_field
+from .field import make_field
 from .groebner import Ideal, groebner_basis, normal_form
 from .group import (
     FiniteGroup,
@@ -60,7 +60,6 @@ __all__ = [
     "AuditReport",
     "Caps",
     "EquivalenceReport",
-    "FieldElement",
     "FiniteGroup",
     "FreeResolution",
     "GraphComponent",

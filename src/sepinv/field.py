@@ -3,8 +3,8 @@
 Elements are carried as plain integers ("raw" form) so the hot polynomial
 loops never touch Python objects: for e == 1 the raw form is the residue in
 [0, p); for e > 1 it is the base-p digit expansion of the reduced polynomial
-in the field generator t (digit i = coefficient of t^i).  The FieldElement
-wrapper gives the raw form operator syntax for interactive use and tests.
+in the field generator t (digit i = coefficient of t^i), so t itself is
+the raw element p.
 
 Prime fields compute with residues directly.  An extension field computes
 through discrete logarithms to a primitive element g, built once by
@@ -125,7 +125,6 @@ class Field:
     p: int
     e: int
     modulus: tuple | None = None  # e+1 coefficients, low-degree first, monic
-    gen_name: str = "t"
     # (q - 1, log, exp, zech) for extension fields, zech None for p == 2;
     # see the module docstring
     _tables: tuple = dc_field(default=None, repr=False, compare=False)
@@ -246,20 +245,6 @@ class Field:
         """Reduce an integer literal into the field (image of Z -> F_{p^e})."""
         return n % self.p
 
-    def element(self, raw):
-        return FieldElement(self, raw)
-
-    def zero(self):
-        return FieldElement(self, 0)
-
-    def one(self):
-        return FieldElement(self, 1)
-
-    def generator(self):
-        if self.e == 1:
-            raise MissingModulus("prime fields have no extension generator")
-        return FieldElement(self, self.p)  # raw encoding of t
-
     def enumerate_raw(self, cap=Caps.enum_cap):
         if self.order > cap:
             raise EnumerationCapExceeded(
@@ -268,86 +253,10 @@ class Field:
             )
         return range(self.order)
 
-    def coeff_str(self, raw):
-        """Render a raw coefficient for the polynomial grammar."""
-        if self.e == 1:
-            return str(raw)
-        ds = self._digits(raw)
-        parts = []
-        for i in range(self.e - 1, -1, -1):
-            c = ds[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else f"{c}*"
-                exp = "" if i == 1 else f"^{i}"
-                parts.append(f"{head}{self.gen_name}{exp}")
-        if not parts:
-            return "0"
-        body = " + ".join(parts)
-        return body if len(parts) == 1 and not body.startswith("-") else f"({body})"
-
     def __repr__(self):
         if self.e == 1:
             return f"F_{self.p}"
         return f"F_{self.p}^{self.e}"
-
-
-class FieldElement:
-    """An element of a Field in canonical reduced form.
-
-    Equality is representation equality; arithmetic returns new elements.
-    """
-
-    __slots__ = ("field", "raw")
-
-    def __init__(self, field, raw):
-        self.field = field
-        self.raw = raw
-
-    @property
-    def coeffs(self):
-        """Coefficient vector of the reduced representative, low-degree first."""
-        return tuple(self.field._digits(self.raw))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.field == other.field
-            and self.raw == other.raw
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.e, self.raw))
-
-    def __bool__(self):
-        return self.raw != 0
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.raw, other.raw))
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.raw, other.raw))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.raw))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.raw, other.raw))
-
-    def __pow__(self, k):
-        return FieldElement(self.field, self.field.pow(self.raw, k))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.raw))
-
-    def __truediv__(self, other):
-        return self * other.inverse()
-
-    def __repr__(self):
-        return self.field.coeff_str(self.raw)
 
 
 def _check_irreducible(modulus, p, e):
@@ -449,7 +358,7 @@ def check_order(p, e, caps):
         )
 
 
-def make_field(p, e=1, modulus=None, gen_name="t", caps=Caps()):
+def make_field(p, e=1, modulus=None, caps=Caps()):
     """Build a validated finite field F_{p^e}.
 
     `modulus` is a coefficient list, low-degree first, required iff e > 1;
@@ -472,5 +381,5 @@ def make_field(p, e=1, modulus=None, gen_name="t", caps=Caps()):
         raise ReducibleModulus(f"modulus must be monic of degree {e}")
     check_order(p, e, caps)
     _check_irreducible(modulus, p, e)
-    f = Field(p, e, modulus, gen_name)
-    return Field(p, e, modulus, gen_name, _log_tables(f))
+    f = Field(p, e, modulus)
+    return Field(p, e, modulus, _log_tables(f))

@@ -575,10 +575,6 @@ class Ideal:
                 self._dim = self.ring.nvars - _min_transversal(supports)
         return self._dim
 
-    def codimension(self):
-        """Height: ambient variable count minus dimension."""
-        return self.ring.nvars - self.dimension()
-
 
 def _t_ring(ring):
     """R[t] under Block(1, GREVLEX, GREVLEX), t first, made once per ring

@@ -44,6 +44,10 @@ from .errors import (
 
 _W = 8  # bits per exponent
 
+# The generator t of every extension field, as the grammar names it; no
+# ring may use it as a variable.
+GENERATOR = "t"
+
 
 # ---------------------------------------------------------------------------
 # monomial orders
@@ -134,9 +138,9 @@ class PolynomialRing:
         variables = tuple(variables)
         if len(set(variables)) != len(variables):
             raise ValueError("variable names must be unique")
-        if field.e > 1 and field.gen_name in variables:
+        if field.e > 1 and GENERATOR in variables:
             raise ValueError(
-                f"variable {field.gen_name!r} collides with the field generator"
+                f"variable {GENERATOR!r} collides with the field generator"
             )
         self.field = field
         self.variables = variables
@@ -287,13 +291,6 @@ class Polynomial:
         """Terms as (exponent tuple, raw coefficient), order-descending."""
         return [(self.ring.unpack(m), c) for m, c in self.terms]
 
-    def coefficient(self, exps):
-        m = self.ring.pack(exps)
-        for mm, c in self.terms:
-            if mm == m:
-                return c
-        return 0
-
     # -- equality -------------------------------------------------------------
 
     def __eq__(self, other):
@@ -375,11 +372,6 @@ class Polynomial:
         return Polynomial(
             self.ring, tuple((m, fld.mul(c, raw)) for m, c in self.terms)
         )
-
-    def monic(self):
-        if not self.terms:
-            return self
-        return self.scale(self.ring.field.inv(self.terms[0][1]))
 
     # -- evaluation / substitution ---------------------------------------------
 
@@ -528,29 +520,6 @@ class AffineMap:
     def __hash__(self):
         return hash((self.matrix, self.translation))
 
-    def apply_point(self, pt, field=None):
-        """The image of a point given as raw coefficients.
-
-        As with `Polynomial.evaluate`, a larger field may be passed for
-        points over an extension of a prime base field, and each call
-        compiles the map; `point_map` compiles it once for many points.
-        """
-        if len(pt) != self.n:
-            raise DimensionMismatch("point length != map dimension")
-        return self.point_map(field)(pt)
-
-    def point_map(self, field=None):
-        """This map as a function of a point, for repeated application.
-
-        The function is compiled once, here, by `_kernel`: each image
-        coordinate is the translation plus the nonzero entries times
-        their coordinates, and an entry 1 adds its coordinate without a
-        multiply.  It does not check the point's length; `apply_point` is
-        the checked entry point.
-        """
-        fld = _embedding_field(self.field, field)
-        return _kernel(fld, _map_sums(self), tuple(range(self.n)))
-
     def compose(self, other):
         """self after other: (self.compose(other))(x) = self(other(x))."""
         if self.n != other.n or self.field != other.field:
@@ -665,7 +634,9 @@ def evaluators(polys, field):
 
 def point_maps(maps, field):
     """A point's images under each map, as one compiled function returning
-    the tuple of them, in order: `AffineMap.point_map` for a set."""
+    the tuple of them, in order.  Each map is over `field` or its prime
+    field, and the function does not check the point's length; a group
+    keeps its elements' kernel as `FiniteGroup.images`."""
     sums, layout = [], []
     for sigma in maps:
         _embedding_field(sigma.field, field)
@@ -879,7 +850,7 @@ def parse(text, ring):
             value = (0, read_decimal(val, fld.from_int))
         elif kind == "NAME" and val in index:
             value = (1 << (_W * index[val]), 1)
-        elif kind == "NAME" and fld.e > 1 and val == fld.gen_name:
+        elif kind == "NAME" and fld.e > 1 and val == GENERATOR:
             value = (0, fld.p)  # raw encoding of the generator
         elif kind == "NAME":
             raise UnknownVariable(val, at)
@@ -967,7 +938,7 @@ def render(f):
                 factors.append(name)
             elif e > 1:
                 factors.append(f"{name}^{e}")
-        cs = ring.field.coeff_str(c)
+        cs = _coeff_str(ring.field, c)
         if not factors:
             parts.append(cs)
         elif c == 1:
@@ -975,3 +946,24 @@ def render(f):
         else:
             parts.append(cs + "*" + "*".join(factors))
     return " + ".join(parts)
+
+
+def _coeff_str(fld, raw):
+    """A raw coefficient in the grammar: over F_{p^e} a sum of c*t^i."""
+    if fld.e == 1:
+        return str(raw)
+    parts = []
+    for i in range(fld.e - 1, -1, -1):
+        c = raw // fld.p ** i % fld.p
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            head = "" if c == 1 else f"{c}*"
+            exp = "" if i == 1 else f"^{i}"
+            parts.append(f"{head}{GENERATOR}{exp}")
+    if not parts:
+        return "0"
+    body = " + ".join(parts)
+    return body if len(parts) == 1 else f"({body})"

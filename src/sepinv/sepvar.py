@@ -30,7 +30,6 @@ from .errors import (
 )
 from .groebner import Ideal
 from .group import (
-    VarietyPresentation,
     _graph_connected,
     _locus_codim,
     _moved_equations,
@@ -294,21 +293,16 @@ class SepVarietyModel:
 # connectivity in codimension k
 # ---------------------------------------------------------------------------
 
-def connected_in_codim(obj, k):
-    """Is the component graph connected when edges need codim <= k?
+def connected_in_codim(model, k):
+    """Is the separating variety's component graph connected when edges
+    need codim <= k?
 
-    Accepts either a SepVarietyModel (components of the separating
-    variety) or a VarietyPresentation (components of X).  A single
-    component is always connected; for k >= dim this is plain
-    connectedness.
+    A single component is always connected; for k >= dim this is plain
+    connectedness.  X's own components: `group.variety_connected_in_codim`.
     """
-    if isinstance(obj, SepVarietyModel):
-        return _graph_connected(
-            len(obj.graph_components()), obj.pairwise_intersection_codim, k
-        )
-    if isinstance(obj, VarietyPresentation):
-        return variety_connected_in_codim(obj, k)
-    raise TypeError("expected a SepVarietyModel or a VarietyPresentation")
+    return _graph_connected(
+        len(model.graph_components()), model.pairwise_intersection_codim, k
+    )
 
 
 @dataclass(frozen=True)
@@ -332,7 +326,7 @@ def connectivity_equivalence_check(model, k):
     `group.min_reflection_number`.
     """
     left = connected_in_codim(model, k)
-    vconn = connected_in_codim(model.variety, k)
+    vconn = variety_connected_in_codim(model.variety, k)
     least = min_reflection_number(model.group, model.variety)
     refl = least is not None and least <= k
     if left != (vconn and refl):

@@ -6,6 +6,8 @@ there.  Library calls use the caps their caller passes, or `Caps()`.
 """
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -276,6 +278,25 @@ def test_only_the_kernel_maker_compiles_code():
     assert _all_sites(lambda n: _is_call(n, "exec")
                       or _is_call(n, "compile")
                       or _is_call(n, "eval")) == [("poly", "_kernel")]
+
+
+def test_every_name_the_benchmark_tracer_binds_exists(monkeypatch):
+    # perfbench/tracing.py wraps sepinv functions by name, so deleting one
+    # of them breaks `perfbench/run.py --trace 1`; load it without writing
+    # bytecode next to it, and build (not install) every wrapper once the
+    # whole package is loaded, as the benchmark's worker does
+    importlib.import_module("sepinv.cli")
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    tracer.prepare()
+    assert tracer.names == [target[0] for target in tracing.TARGETS]
+    # each wrapper replaces at least one binding of its function
+    assert len({wrapper for *_, wrapper in tracer._swaps}) == len(
+        tracing.TARGETS)
 
 
 # Each module imports only from modules of a lower layer; sepvar and

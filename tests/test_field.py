@@ -122,15 +122,13 @@ def test_extension_field_axioms_exhaustive(field):
 
 
 def test_generator_satisfies_modulus():
-    t4 = F4.generator().raw
+    t4 = F4.p  # the raw encoding of t
     # t^2 + t + 1 = 0
     assert F4.add(F4.mul(t4, t4), F4.add(t4, 1)) == 0
-    t8 = F8.generator().raw
+    t8 = F8.p
     # t^3 + t + 1 = 0
     cube = F8.mul(F8.mul(t8, t8), t8)
     assert F8.add(cube, F8.add(t8, 1)) == 0
-    with pytest.raises(MissingModulus):
-        F5.generator()
 
 
 @pytest.mark.parametrize("field", [F2, F5, F4, F8, F9])
@@ -155,18 +153,6 @@ def test_from_int_reduces_mod_characteristic():
     assert F4.from_int(2) == 0
     assert F4.from_int(3) == 1
     assert F8.from_int(5) == 1
-
-
-def test_element_wrapper_arithmetic():
-    a = F9.element(F9.generator().raw)
-    b = F9.one()
-    assert (a + b) - b == a
-    assert a * a.inverse() == F9.one()
-    assert (a / a) == F9.one()
-    assert a ** F9.order == a ** 1
-    assert -(-a) == a
-    assert bool(F9.zero()) is False
-    assert bool(a) is True
 
 
 def test_enumerate_raw_order_and_cap():
@@ -201,9 +187,9 @@ def test_negative_power_is_a_power_of_the_inverse():
     # a^(-k) = (a^(-1))^k, and a negative exponent must terminate
     assert F5.pow(2, -1) == 3
     assert F5.pow(2, -3) == F5.pow(3, 3)
-    t = F9.generator()
-    assert t ** -1 == t.inverse()
-    assert (t ** -5) * (t ** 5) == F9.one()
+    t = F9.p
+    assert F9.pow(t, -1) == F9.inv(t)
+    assert F9.mul(F9.pow(t, -5), F9.pow(t, 5)) == 1
     for field in (F5, F9):
         with pytest.raises(DivisionByZero):
             field.pow(0, -1)

@@ -271,7 +271,6 @@ def test_dimension_examples():
     assert Ideal(R, [R.parse("x"), R.parse("y"), R.parse("z")]).dimension() == 0
     assert Ideal(R, [R.parse("x^2 - y"), R.parse("x^3 - z")]).dimension() == 1
     assert Ideal(R, [R.parse("x*y"), R.parse("x*z")]).dimension() == 2
-    assert Ideal(R, [R.parse("x*y")]).codimension() == 1
     with pytest.raises(UnitIdeal):
         Ideal(R, [R.one()]).dimension()
     with pytest.raises(UnitIdeal):

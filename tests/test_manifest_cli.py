@@ -539,6 +539,18 @@ def test_cli_points_field_above_enum_cap_exits_3():
     ]
 
 
+def test_cli_points_without_an_irreducible_modulus_is_an_internal_error(
+    monkeypatch, capsys
+):
+    # a search that offers only the reducible x^e runs dry
+    monkeypatch.setattr(cli, "_monic_polys",
+                        lambda degree, p: iter([[0] * degree + [1]]))
+    code, out = run_cli(capsys, ["verify", "-m", "id10253", "--set", "main",
+                                 "--points", "4"])
+    assert (code, out) == (
+        1, "internal consistency: no irreducible modulus found for 4\n")
+
+
 @pytest.mark.parametrize("exp", [5000, 100000])
 def test_cli_points_far_above_enum_cap_is_a_one_line_cap_error(
     exp, monkeypatch, capsys

@@ -145,6 +145,17 @@ def test_hilbert_numerator_examples():
     assert hilbert_numerator(ci) == {0: 1, 2: -1, 3: -1, 5: 1}
 
 
+def test_resolution_is_checked_against_the_hilbert_numerator(monkeypatch):
+    # a numerator shifted up one degree can match no resolution
+    numerator = resolution.hilbert_numerator
+    monkeypatch.setattr(resolution, "hilbert_numerator", lambda ideal: {
+        d + 1: v for d, v in numerator(ideal).items()})
+    ci = Ideal(R3v, [R3v.parse("x^2"), R3v.parse("y^3")])
+    with pytest.raises(InternalInconsistency, match=(
+            "^resolution disagrees with the Hilbert numerator$")):
+        minimal_free_resolution(ci)
+
+
 def test_euler_characteristic_matches_hilbert_numerator():
     rng = random.Random(23)
     for _ in range(6):

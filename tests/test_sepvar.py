@@ -14,12 +14,18 @@ from sepinv import (
     connectivity_equivalence_check,
     enumerate_group,
     make_field,
+    variety_connected_in_codim,
     variety_points,
 )
 from sepinv import bundled, group, sepvar
-from sepinv.errors import InternalInconsistency, NotInvariant, RingMismatch
+from sepinv.errors import (
+    EquivalenceViolation,
+    InternalInconsistency,
+    NotInvariant,
+    RingMismatch,
+)
 from sepinv.group import _locus_codim, _moved_equations, orbit
-from sepinv.sepvar import _mirror_names
+from sepinv.sepvar import GraphComponent, _mirror_names
 
 F2 = make_field(2)
 F5 = make_field(5)
@@ -206,10 +212,36 @@ def test_equivalence_check_additive(additive3):
         assert not report.reflections_generate
 
 
+def test_equivalence_check_fires_on_a_wrong_reflection_side(
+        id10253, monkeypatch):
+    # id10253 is connected in codimension dim X = 4 and generated by
+    # 4-reflections; a least k that says "never" contradicts its variety
+    assert connectivity_equivalence_check(id10253.model, 4).sepvar_connected
+    monkeypatch.setattr(sepvar, "min_reflection_number", lambda G, X: None)
+    with pytest.raises(EquivalenceViolation, match=(
+            r"^separating variety connectivity in codim 4 is True, but X "
+            r"connectivity is True and reflection generation is False$")):
+        connectivity_equivalence_check(id10253.model, 4)
+
+
+def test_a_difference_generator_outside_the_fold_is_caught():
+    # one more graph component, of x1 -> x1 + x2, which is not in the
+    # group: the fold keeps dimension 4, but f(x) - f(y) does not vanish
+    # on the new graph, so the containment check must fire
+    model = bundled.load("id10253").model
+    sigma = AffineMap(model.base_ring.field,
+                      [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert sigma not in model.group.elements
+    extra = GraphComponent(sigma, 0, model.graph_component_ideal(sigma, 0),
+                           4, ((len(model.group), 0),))
+    model.graph_components().append(extra)  # the model's cached list
+    with pytest.raises(InternalInconsistency, match=(
+            "^a difference generator escapes the component intersection$")):
+        model.separating_variety_radical()
+
+
 def test_connected_in_codim_argument_types(two_planes):
-    assert connected_in_codim(two_planes.variety, 2)
-    with pytest.raises(TypeError):
-        connected_in_codim("not a model", 1)
+    assert variety_connected_in_codim(two_planes.variety, 2)
     with pytest.raises(ValueError):
         connected_in_codim(two_planes.model, -1)
 
