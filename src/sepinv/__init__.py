@@ -25,7 +25,6 @@ from .group import (
 )
 from .poly import (
     GREVLEX,
-    LEX,
     AffineMap,
     Polynomial,
     PolynomialRing,
@@ -65,7 +64,6 @@ __all__ = [
     "GraphComponent",
     "GREVLEX",
     "Ideal",
-    "LEX",
     "Polynomial",
     "PolynomialRing",
     "SeparatingCandidate",

@@ -245,7 +245,7 @@ class Field:
         """Reduce an integer literal into the field (image of Z -> F_{p^e})."""
         return n % self.p
 
-    def enumerate_raw(self, cap=Caps.enum_cap):
+    def enumerate_raw(self, cap):
         if self.order > cap:
             raise EnumerationCapExceeded(
                 f"enumerate_raw: field has {self.order} elements, exceeding "

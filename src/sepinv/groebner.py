@@ -22,9 +22,9 @@ canonical: two ideals are equal exactly when these tuples match.
 
 Affine-linear algebra never reaches Buchberger.  Affine-linear generators
 are row-reduced by `poly._gauss_jordan`, whose reduced echelon form is
-their reduced basis, and `Ideal.intersect` on a grevlex ring splits off
-the affine-linear forms both ideals share, by intersecting row spaces, so
-that the t-trick sees only what is left once those forms are substituted.
+their reduced basis, and `Ideal.intersect` splits off the affine-linear
+forms both ideals share, by intersecting row spaces, so that the t-trick
+sees only what is left once those forms are substituted.
 """
 
 from __future__ import annotations
@@ -379,35 +379,28 @@ def interreduce(polys):
 # ---------------------------------------------------------------------------
 
 class Ideal:
-    """An ideal of a polynomial ring, with cached canonical bases."""
+    """An ideal of a grevlex polynomial ring, with its reduced basis cached."""
 
     def __init__(self, ring, gens, caps=Caps()):
+        if ring.order != GREVLEX:
+            raise RingMismatch("ideals live in grevlex rings only")
         for g in gens:
             if g.ring != ring:
                 raise RingMismatch("generator outside the ring")
         self.ring = ring
         self.gens = tuple(g for g in gens if not g.is_zero())
         self.caps = caps
-        self._gb = {}
+        self._gb = None
         self._dim = None
         self._resolution = None  # set by resolution.minimal_free_resolution
 
     def __repr__(self):
         return f"Ideal({len(self.gens)} gens in {self.ring})"
 
-    def groebner_basis(self, order=None):
-        order = order or self.ring.order
-        gb = self._gb.get(order)
-        if gb is None:
-            if order == self.ring.order:
-                gens = self.gens
-            else:
-                target = self.ring.with_order(order)
-                ident = list(range(self.ring.nvars))
-                gens = [g.inject(target, ident) for g in self.gens]
-            gb = tuple(groebner_basis(gens, self.caps))
-            self._gb[order] = gb
-        return list(gb)
+    def groebner_basis(self):
+        if self._gb is None:
+            self._gb = tuple(groebner_basis(self.gens, self.caps))
+        return list(self._gb)
 
     def normal_form(self, f):
         if f.ring != self.ring:
@@ -446,8 +439,8 @@ class Ideal:
         """f vanishes on the zero locus: some power of f lies in the ideal.
 
         Rabinowitsch: it does exactly when I and 1 - t*f generate the unit
-        ideal of R[t].  t is the last variable, so a polynomial of R keeps
-        its packed ints in R[t] and, when R is grevlex, its order too.
+        ideal of R[t].  t is the last variable of the grevlex ring R[t], so
+        a polynomial of R keeps its packed ints and its order there.
         """
         if f.ring != self.ring:
             raise RingMismatch("polynomial outside the ideal's ring")
@@ -457,11 +450,10 @@ class Ideal:
         fld = ring.field
         tname = _fresh_name(ring.variables, "_t")
         ext = PolynomialRing(fld, ring.variables + (tname,), GREVLEX)
-        ordered = ring.order == GREVLEX
         t = 1 << ring.term_shift
-        gens = [_lift(ext, g.terms, ordered) for g in self.gens]
-        gens.append(_lift(ext, tuple((m + t, fld.neg(c)) for m, c in f.terms)
-                          + ((0, 1),), ordered))
+        gens = [Polynomial(ext, g.terms) for g in self.gens]
+        gens.append(Polynomial(
+            ext, tuple((m + t, fld.neg(c)) for m, c in f.terms) + ((0, 1),)))
         gb = groebner_basis(gens, self.caps)
         return len(gb) == 1 and gb[0].leading_monomial() == 0
 
@@ -474,8 +466,10 @@ class Ideal:
     def eliminate(self, drop):
         """Project out the named (or indexed) variables.
 
-        Returns the elimination ideal in the ring spanned by the remaining
-        variables, ordered as before, under grevlex.
+        Buchberger runs directly in the block ring `Block(k)` with the k
+        dropped variables first; its basis elements free of them make the
+        elimination ideal, in the grevlex ring of the remaining variables
+        in their old order.
         """
         ring = self.ring
         idx = sorted(
@@ -484,9 +478,7 @@ class Ideal:
         keep = [i for i in range(ring.nvars) if i not in idx]
         perm = idx + keep  # position in block ring -> original index
         block_ring = PolynomialRing(
-            ring.field,
-            tuple(ring.variables[i] for i in perm),
-            Block(len(idx), GREVLEX, GREVLEX),
+            ring.field, tuple(ring.variables[i] for i in perm), Block(len(idx))
         )
         to_block = [0] * ring.nvars
         for newpos, orig in enumerate(perm):
@@ -510,32 +502,20 @@ class Ideal:
     def intersect(self, other):
         """Ideal intersection: eliminate t from t*I + (1 - t)*J.
 
-        On a grevlex ring the affine-linear forms C that both ideals
-        contain are split off first: `_shared_linear` intersects the spans
-        of the degree-1 elements of their reduced bases.  Both ideals
-        contain (C), and R/(C) is the polynomial ring in the variables that
-        are not leads of C, so I & J is C plus the intersection of the
-        bases reduced modulo C, which substitutes those leads; only that
-        runs through the t-trick.  What it returns holds no affine-linear
-        element, which would lie in C, so no lead of it has degree below 2
-        and no term of it holds a lead of C: C and it together are the
-        reduced basis, kept in the result.  On other orders the degree-1
-        basis elements need not span the linear forms of the ideal, and
-        the t-trick runs on the generators.
-
-        t is byte 0 of the block ring `_t_ring`, so a monomial m of R is
-        `m << 8` there and `+ 1` multiplies it by t.  In a grevlex ring
-        t*g and (1 - t)*g are built term by term in order (the t-terms
-        first, each part in g's order), and the t-free part of the block
-        basis, shifted back, is already the reduced grevlex basis of the
-        intersection; other orders sort both ways.
+        The affine-linear forms C that both ideals contain are split off
+        first: in a grevlex basis the degree-1 elements span the ideal's
+        affine-linear forms, and `_shared_linear` intersects those spans.
+        Both ideals contain (C), and R/(C) is the polynomial ring in the
+        variables that are not leads of C, so I & J is C plus the
+        intersection of the bases reduced modulo C, which substitutes those
+        leads; only that runs through the t-trick.  What it returns holds
+        no affine-linear element, which would lie in C, so no lead of it
+        has degree below 2 and no term of it holds a lead of C: C and it
+        together are the reduced basis, kept in the result.
         """
         if other.ring != self.ring:
             raise RingMismatch("intersection across rings")
         ring = self.ring
-        if ring.order != GREVLEX:
-            out = _t_trick(ring, self.gens, other.gens, self.caps, False)
-            return Ideal(ring, out, self.caps)
         A, B = self.groebner_basis(), other.groebner_basis()
         shared = _shared_linear(A, B, ring)
         if shared:
@@ -543,9 +523,9 @@ class Ideal:
                     for basis in (A, B))
         out = tuple(shared)
         if A and B:
-            out += _t_trick(ring, A, B, self.caps, True)
+            out += _t_trick(ring, A, B, self.caps)
         meet = Ideal(ring, out, self.caps)
-        meet._gb[GREVLEX] = out  # reduced, in increasing lead order
+        meet._gb = out  # reduced, in increasing lead order
         return meet
 
     # -- dimension --------------------------------------------------------------
@@ -558,7 +538,7 @@ class Ideal:
         the support of every leading monomial.
         """
         if self._dim is None:
-            gb = self.groebner_basis(GREVLEX)
+            gb = self.groebner_basis()
             if not gb:
                 self._dim = self.ring.nvars
             elif gb[0].leading_monomial() == 0:
@@ -577,36 +557,34 @@ class Ideal:
 
 
 def _t_ring(ring):
-    """R[t] under Block(1, GREVLEX, GREVLEX), t first, made once per ring
-    object: every intersection in R shares one block ring and its key
-    cache, which live and die with R."""
+    """R[t] under Block(1), t first, made once per ring object: every
+    intersection in R shares one block ring and its key cache, which live
+    and die with R."""
     if ring._t_ring is None:
         tname = _fresh_name(ring.variables, "_t")
         ring._t_ring = PolynomialRing(ring.field, (tname,) + ring.variables,
-                                      Block(1, GREVLEX, GREVLEX))
+                                      Block(1))
     return ring._t_ring
 
 
-def _t_trick(ring, A, B, caps, ordered):
+def _t_trick(ring, A, B, caps):
     """The t-free part of the reduced basis of t*(A) + (1 - t)*(B) in
-    `_t_ring(ring)`, back in R: generators of (A) & (B), and their reduced
-    basis when `ordered`, that is when R is grevlex."""
+    `_t_ring(ring)`, back in R: the reduced basis of (A) & (B).
+
+    t is byte 0 of the block ring, so a monomial m of R is `m << 8` there
+    and `+ 1` multiplies it by t.  t*g and (1 - t)*g are built term by term
+    in order (the t-terms first, each part in g's grevlex order), and the
+    t-free part of the block basis, shifted back, keeps its order too."""
     block = _t_ring(ring)
     neg = ring.field.neg
-    gens = [_lift(block, tuple(((m << 8) + 1, c) for m, c in g.terms), ordered)
+    gens = [Polynomial(block, tuple(((m << 8) + 1, c) for m, c in g.terms))
             for g in A]
-    gens += [_lift(block, tuple(((m << 8) + 1, neg(c)) for m, c in g.terms)
-                   + tuple((m << 8, c) for m, c in g.terms), ordered)
+    gens += [Polynomial(block, tuple(((m << 8) + 1, neg(c)) for m, c in g.terms)
+                        + tuple((m << 8, c) for m, c in g.terms))
              for g in B]
     gb = groebner_basis(gens, caps)
-    return tuple(_lift(ring, tuple((m >> 8, c) for m, c in g.terms), ordered)
+    return tuple(Polynomial(ring, tuple((m >> 8, c) for m, c in g.terms))
                  for g in gb if all(not m & 0xFF for m, _ in g.terms))
-
-
-def _lift(ring, terms, ordered):
-    """The polynomial of `ring` with these terms; unless they are `ordered`
-    (decreasing in the ring's order already), sorted first."""
-    return Polynomial(ring, terms) if ordered else ring.from_dict(dict(terms))
 
 
 def _fresh_name(taken, base):

@@ -18,7 +18,9 @@ divides t in the same component.
 
 A monomial order maps a packed monomial to an int key (`PolynomialRing.key`)
 that orders monomials as the order does, so comparing two monomials is one
-int comparison and a reducer can keep its terms in a heap.
+int comparison and a reducer can keep its terms in a heap.  There are two:
+grevlex, the order of every ring an ideal lives in, and `Block`, grevlex on
+two blocks of variables, the elimination order of `groebner`'s block rings.
 
 Polynomials are immutable: a tuple of (packed monomial, raw coefficient)
 pairs, strictly decreasing in the ring's monomial order, no zeros.  All
@@ -54,24 +56,6 @@ GENERATOR = "t"
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Lex:
-    """Lexicographic order, x_1 > x_2 > ... > x_n.
-
-    The key of a packed monomial is an int: its exponent bytes in reverse
-    order, so x_1's exponent is the most significant byte.
-    """
-
-    def width(self, nvars):
-        """Bits of the largest key on `nvars` variables."""
-        return _W * nvars
-
-    def keyfn(self, nvars):
-        def key(m):
-            return int.from_bytes(m.to_bytes(nvars, "little"), "big")
-        return key
-
-
-@dataclass(frozen=True)
 class GRevLex:
     """Graded reverse lexicographic order.
 
@@ -94,33 +78,27 @@ class GRevLex:
         return key
 
 
+GREVLEX = GRevLex()
+
+
 @dataclass(frozen=True)
 class Block:
-    """Compare the first `split` exponents under `first`, then the rest.
-
-    With a graded order in the first block this is an elimination order for
-    the first `split` variables.  The key is an int: the first block's key
-    shifted above the widest key the second block can have.
+    """Grevlex on the first `split` variables, then grevlex on the rest: an
+    elimination order for the first `split` variables, for the rings where
+    `groebner` runs Buchberger directly to eliminate.  The key is an int:
+    the first block's key shifted above the widest key the second can have.
     """
 
     split: int
-    first: object
-    second: object
-
-    def width(self, nvars):
-        return self.first.width(self.split) + self.second.width(nvars - self.split)
 
     def keyfn(self, nvars):
-        k1 = self.first.keyfn(self.split)
-        k2 = self.second.keyfn(nvars - self.split)
-        shift = self.second.width(nvars - self.split)
+        rest = nvars - self.split
+        k1 = GREVLEX.keyfn(self.split)
+        k2 = GREVLEX.keyfn(rest)
+        shift = GREVLEX.width(rest)
         low = _W * self.split
         mask = (1 << low) - 1
         return lambda m: (k1(m & mask) << shift) | k2(m >> low)
-
-
-GREVLEX = GRevLex()
-LEX = Lex()
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +106,7 @@ LEX = Lex()
 # ---------------------------------------------------------------------------
 
 class PolynomialRing:
-    """K[x_1..x_n] with a fixed monomial order.
+    """K[x_1..x_n] under grevlex, or under a `Block` order.
 
     Equality is by value (field, variable names, order), so reloading a
     manifest produces rings that compare equal to the originals.
@@ -170,11 +148,6 @@ class PolynomialRing:
 
     def __repr__(self):
         return f"{self.field}[{', '.join(self.variables)}]"
-
-    def with_order(self, order):
-        if order == self.order:
-            return self
-        return PolynomialRing(self.field, self.variables, order)
 
     # -- packed monomials ------------------------------------------------------
 

@@ -86,8 +86,8 @@ class _Level:
     key's bits.
 
     Every ring key is additive on packed monomials whose exponent sums stay
-    below 128: key(a + b) = key(a) + key(b) - key(0), under grevlex, lex
-    and block orders alike.  So the recursion above has the closed form
+    below 128: key(a + b) = key(a) + key(b) - key(0), under grevlex and
+    block orders alike.  So the recursion above has the closed form
     `offsets[c] + (key(m) << shift)`:
     `shift` sums the widths w down the cascade, and `offsets[c]` folds in
     lead_c and the parent's offset once, when the level is built.

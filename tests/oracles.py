@@ -59,19 +59,14 @@ def naive_pow(a, k, p, nvars):
 # -- monomial orders as tuple keys --------------------------------------------
 
 
-def lex_key(exps):
-    """Lexicographic order on exponent tuples: x_1 decides first."""
-    return tuple(exps)
-
-
 def grevlex_key(exps):
     """Graded reverse lex: total degree, then the smaller last exponent."""
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
-def block_key(split, first, second):
-    """Block order: `first` on the first `split` exponents, then `second`."""
-    return lambda exps: (first(exps[:split]), second(exps[split:]))
+def block_key(split):
+    """Block order: grevlex on the first `split` exponents, then on the rest."""
+    return lambda exps: (grevlex_key(exps[:split]), grevlex_key(exps[split:]))
 
 
 def level_key(ring_key, leads, c, exps):

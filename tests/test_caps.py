@@ -31,7 +31,6 @@ from sepinv.errors import (
 from sepinv.groebner import groebner_basis
 from sepinv.group import generated_by
 from sepinv.manifest import Manifest
-from sepinv.poly import LEX
 
 SRC = Path(sepinv.__file__).resolve().parent
 
@@ -48,9 +47,9 @@ def f16_doc():
 def test_library_calls_ignore_the_environment(monkeypatch):
     monkeypatch.setenv("SEPINV_PAIR_CAP", "1")
     monkeypatch.setenv("SEPINV_ENUM_CAP", "8")
-    ring = PolynomialRing(make_field(5), ("x", "y", "z"), LEX)
+    ring = PolynomialRing(make_field(5), ("x", "y", "z"))
     # two S-pairs, one more than SEPINV_PAIR_CAP allows
-    gens = [ring.parse("x^2 - y"), ring.parse("x^3 - z")]
+    gens = [ring.parse("x^2 - y"), ring.parse("x*y - z")]
     assert groebner_basis(gens) == groebner_basis(gens, Caps())
     assert make_field(2, 4, [1, 1, 0, 0, 1]).order == 16
 
@@ -270,6 +269,30 @@ def test_each_reflection_and_model_fact_has_one_home():
         ("sepvar", "doubled_ring")]
     assert _all_sites(_subtracts_a_length_from_nvars) == [
         ("resolution", "FreeResolution.depth")]
+
+
+# -- one monomial order for every ideal ---------------------------------------
+
+_ORDERS = {"GREVLEX", "GRevLex", "Block"}
+
+
+def _tests_a_ring_order(node):
+    # ring.order != GREVLEX, isinstance(o, Block), a.order == b.order: a
+    # fork on the monomial order (a field's or a group's order is a number)
+    if isinstance(node, ast.Compare):
+        operands = [node.left, *node.comparators]
+        return (any(_name(n) in _ORDERS
+                    for o in operands for n in ast.walk(o))
+                or sum(_name(o) == "order" for o in operands) > 1)
+    return (_is_call(node, "isinstance") and len(node.args) == 2
+            and any(_name(n) in _ORDERS for n in ast.walk(node.args[1])))
+
+
+def test_a_ring_order_is_tested_in_one_place():
+    # an ideal refuses every order but grevlex, so no ideal method forks
+    # on its ring's order; rings compare their orders for value identity
+    assert _all_sites(_tests_a_ring_order) == [
+        ("groebner", "Ideal.__init__"), ("poly", "PolynomialRing.__eq__")]
 
 
 def test_only_the_kernel_maker_compiles_code():

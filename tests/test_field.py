@@ -23,6 +23,7 @@ F5 = make_field(5)
 F4 = make_field(2, 2, [1, 1, 1])
 F8 = make_field(2, 3, [1, 1, 0, 1])
 F9 = make_field(3, 2, [1, 0, 1])
+CAP = Caps().enum_cap
 
 
 def test_is_prime_small_values():
@@ -102,7 +103,7 @@ def test_make_field_rejects_bad_input():
 
 @pytest.mark.parametrize("field", [F4, F8, F9])
 def test_extension_field_axioms_exhaustive(field):
-    elems = field.enumerate_raw()
+    elems = field.enumerate_raw(CAP)
     assert len(elems) == field.order
     for a in elems:
         assert field.add(a, 0) == a
@@ -134,14 +135,14 @@ def test_generator_satisfies_modulus():
 @pytest.mark.parametrize("field", [F2, F5, F4, F8, F9])
 def test_multiplicative_order_divides_group_order(field):
     q = field.order
-    for a in field.enumerate_raw():
+    for a in field.enumerate_raw(CAP):
         if a:
             assert field.pow(a, q - 1) == 1
 
 
 def test_frobenius_is_additive_in_char_two():
-    for a in F8.enumerate_raw():
-        for b in F8.enumerate_raw():
+    for a in F8.enumerate_raw(CAP):
+        for b in F8.enumerate_raw(CAP):
             lhs = F8.pow(F8.add(a, b), 2)
             rhs = F8.add(F8.pow(a, 2), F8.pow(b, 2))
             assert lhs == rhs
@@ -156,10 +157,12 @@ def test_from_int_reduces_mod_characteristic():
 
 
 def test_enumerate_raw_order_and_cap():
-    assert list(F4.enumerate_raw()) == [0, 1, 2, 3]
-    assert len(F9.enumerate_raw()) == 9
+    assert list(F4.enumerate_raw(CAP)) == [0, 1, 2, 3]
+    assert len(F9.enumerate_raw(9)) == 9
     with pytest.raises(EnumerationCapExceeded):
-        F8.enumerate_raw(cap=4)
+        F8.enumerate_raw(4)
+    with pytest.raises(EnumerationCapExceeded):
+        F8.enumerate_raw(7)
 
 
 def test_equal_fields_compare_equal():

@@ -29,7 +29,6 @@ from sepinv.errors import (
 )
 from sepinv.poly import (
     GREVLEX,
-    LEX,
     Block,
     compose_affine,
     coordinate_images,
@@ -41,7 +40,6 @@ from sepinv.poly import (
 from .oracles import (
     block_key,
     grevlex_key,
-    lex_key,
     naive_add,
     naive_apply,
     naive_field_ops,
@@ -139,17 +137,19 @@ def test_ring_equality_and_order():
     assert PolynomialRing(F5, ("x", "y", "z")) == R5
     assert PolynomialRing(F5, ("x", "y")) != R5
     assert PolynomialRing(F2, ("x", "y", "z")) != R5
-    lexed = R5.with_order(LEX)
-    assert lexed != R5
-    assert lexed.with_order(GREVLEX) == R5
+    blocked = PolynomialRing(F5, ("x", "y", "z"), Block(1))
+    assert blocked != R5
+    assert blocked == PolynomialRing(F5, ("x", "y", "z"), Block(1))
+    assert blocked != PolynomialRing(F5, ("x", "y", "z"), Block(2))
 
 
 def test_leading_monomial_respects_order():
     f = R5.parse("x*y^2 + x^2 + z^4")
     assert R5.unpack(f.leading_monomial()) == (0, 0, 4)
-    lexed = R5.with_order(LEX)
-    g = lexed.parse("x*y^2 + x^2 + z^4")
-    assert lexed.unpack(g.leading_monomial()) == (2, 0, 0)
+    # x alone in the first block: its degree decides first
+    blocked = PolynomialRing(F5, ("x", "y", "z"), Block(1))
+    g = blocked.parse("x*y^2 + x^2 + z^4")
+    assert blocked.unpack(g.leading_monomial()) == (2, 0, 0)
     # grevlex tie at equal degree: compare reversed exponents
     h = R5.parse("x^2*z + x*y^2")
     assert R5.unpack(h.leading_monomial()) == (1, 2, 0)
@@ -251,14 +251,11 @@ def test_as_pairs_is_order_descending():
 @given(data=st.data())
 def test_order_keys_and_lcm_agree_with_tuple_oracle(data):
     n = data.draw(st.integers(1, 5))
-    kind = data.draw(st.sampled_from(["grevlex", "lex", "block"]))
-    if kind == "grevlex":
+    if data.draw(st.booleans()):
         order, oracle = GREVLEX, grevlex_key
-    elif kind == "lex":
-        order, oracle = LEX, lex_key
     else:
         k = data.draw(st.integers(0, n))
-        order, oracle = Block(k, GREVLEX, GREVLEX), block_key(k, grevlex_key, grevlex_key)
+        order, oracle = Block(k), block_key(k)
     ring = PolynomialRing(F5, tuple(f"x{i}" for i in range(n)), order)
     exponent = st.one_of(st.sampled_from([0, 127]), st.integers(0, 127))
     exps = st.lists(exponent, min_size=n, max_size=n).map(tuple)
@@ -276,11 +273,8 @@ def test_order_keys_and_lcm_agree_with_tuple_oracle(data):
 def test_order_keys_are_additive(data):
     """key(a * b) = key(a) + key(b) - key(1): resolution levels rely on it."""
     n = data.draw(st.integers(1, 5))
-    simple = st.sampled_from([GREVLEX, LEX])
-    order = data.draw(st.one_of(
-        simple,
-        st.builds(Block, st.integers(0, n), simple, simple),
-    ))
+    order = data.draw(st.one_of(st.just(GREVLEX),
+                                st.builds(Block, st.integers(0, n))))
     ring = PolynomialRing(F5, tuple(f"x{i}" for i in range(n)), order)
     a = [data.draw(st.one_of(st.sampled_from([0, 127]), st.integers(0, 127)))
          for _ in range(n)]

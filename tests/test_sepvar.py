@@ -240,6 +240,28 @@ def test_a_difference_generator_outside_the_fold_is_caught():
         model.separating_variety_radical()
 
 
+def test_a_graph_component_of_another_dimension_is_caught():
+    # a graph is isomorphic to its base component, so a base dimension one
+    # too high must stop the graph listing
+    model = bundled.load("two-planes").model
+    variety = model.variety
+    variety._dims = tuple(d + 1 for d in variety.component_dimensions())
+    with pytest.raises(InternalInconsistency, match=(
+            "^graph component dimension differs from its base component$")):
+        model.graph_components()
+
+
+@pytest.mark.parametrize("name", ["id10253", "two-planes"])
+def test_a_fold_of_sums_is_caught(name, monkeypatch):
+    # sums in place of intersections cut the graphs down to their common
+    # part, which is smaller than X on these models
+    model = bundled.load(name).model
+    monkeypatch.setattr(Ideal, "intersect", lambda self, other: self + other)
+    with pytest.raises(InternalInconsistency, match=(
+            "^separating variety dimension differs from the variety's$")):
+        model.separating_variety_radical()
+
+
 def test_connected_in_codim_argument_types(two_planes):
     assert variety_connected_in_codim(two_planes.variety, 2)
     with pytest.raises(ValueError):
